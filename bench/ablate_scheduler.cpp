@@ -8,18 +8,25 @@
 #include "core/report.h"
 #include "core/scenario.h"
 #include "engine/scheduler.h"
+#include "workload/arrivals.h"
 #include "workload/generator.h"
 
 namespace {
 
+/// qps = 0 submits the whole trace at t=0; otherwise arrivals are Poisson.
 mib::engine::ServingReport serve(bool continuous, double qps,
-                                 const std::vector<mib::engine::Request>& t) {
+                                 std::vector<mib::engine::Request> t) {
   mib::core::Scenario s;
   s.model = "OLMoE-1B-7B";
   mib::engine::SchedulerConfig sc;
   sc.continuous_batching = continuous;
   sc.max_batch = 64;
-  sc.arrival_rate_qps = qps;
+  if (qps > 0.0) {
+    mib::workload::ArrivalConfig ac;
+    ac.rate_qps = qps;
+    ac.seed = 1;
+    mib::workload::stamp_arrivals(ac, t);
+  }
   return mib::engine::ServingSimulator(s.engine_config(), sc).run(t);
 }
 

@@ -14,6 +14,7 @@
 #include "core/scenario.h"
 #include "engine/scheduler.h"
 #include "models/params.h"
+#include "workload/arrivals.h"
 #include "workload/generator.h"
 
 namespace {
@@ -36,7 +37,8 @@ void usage() {
       "serve mode (continuous-batching trace simulation):\n"
       "  --serve                serve a sampled trace instead of one batch\n"
       "  --requests N           trace size (default 64)\n"
-      "  --qps X                Poisson arrival rate (default all-at-once)\n"
+      "  --qps X                Poisson arrivals stamped on the trace at X\n"
+      "                         requests/s (default all at t=0)\n"
       "  --sjf                  shortest-job-first admission\n";
 }
 
@@ -136,15 +138,22 @@ int main(int argc, char** argv) {
 
     if (serve) {
       engine::SchedulerConfig sc;
-      sc.arrival_rate_qps = qps;
+      sc.max_batch = 256;
       sc.policy = sjf ? engine::QueuePolicy::kShortestFirst
                       : engine::QueuePolicy::kFcfs;
       workload::TraceConfig tc;
       tc.n_requests = n_requests;
       tc.input = {32, std::max(32, s.input_tokens), 1.2};
       tc.output = {32, std::max(32, s.output_tokens), 1.2};
+      auto trace = workload::generate_trace(tc);
+      if (qps != 0.0) {
+        workload::ArrivalConfig ac;
+        ac.rate_qps = qps;
+        ac.seed = 1;
+        workload::stamp_arrivals(ac, trace);
+      }
       const engine::ServingSimulator sim(s.engine_config(), sc);
-      const auto rep = sim.run(workload::generate_trace(tc));
+      const auto rep = sim.run(trace);
       Table t(s.model + " serve: " + std::to_string(n_requests) +
               " requests, " + (qps > 0 ? format_fixed(qps, 1) + " qps"
                                        : std::string("all-at-once")) +

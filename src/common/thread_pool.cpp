@@ -1,6 +1,5 @@
 #include "common/thread_pool.h"
 
-#include <atomic>
 #include <exception>
 
 #include "common/error.h"
@@ -74,37 +73,33 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   const std::size_t blocks = std::min(n, nthreads * 2);
   const std::size_t chunk = (n + blocks - 1) / blocks;
 
-  std::atomic<std::size_t> remaining{0};
+  // Completion state lives on this frame. Workers decrement `remaining`
+  // and notify while holding `done_mu`, so the caller cannot observe zero
+  // and return (destroying the mutex and condition variable) until the
+  // last worker has released them.
+  std::size_t remaining = (n + chunk - 1) / chunk;
   std::exception_ptr first_error = nullptr;
-  std::mutex err_mu;
   std::mutex done_mu;
   std::condition_variable done_cv;
-
-  std::size_t launched = 0;
-  for (std::size_t b = begin; b < end; b += chunk) {
-    ++launched;
-  }
-  remaining.store(launched);
 
   for (std::size_t b = begin; b < end; b += chunk) {
     const std::size_t lo = b;
     const std::size_t hi = std::min(end, b + chunk);
     submit([&, lo, hi] {
+      std::exception_ptr error = nullptr;
       try {
         for (std::size_t i = lo; i < hi; ++i) fn(i);
       } catch (...) {
-        std::lock_guard lock(err_mu);
-        if (!first_error) first_error = std::current_exception();
+        error = std::current_exception();
       }
-      if (remaining.fetch_sub(1) == 1) {
-        std::lock_guard lock(done_mu);
-        done_cv.notify_all();
-      }
+      std::lock_guard lock(done_mu);
+      if (error && !first_error) first_error = error;
+      if (--remaining == 0) done_cv.notify_all();
     });
   }
 
   std::unique_lock lock(done_mu);
-  done_cv.wait(lock, [&] { return remaining.load() == 0; });
+  done_cv.wait(lock, [&] { return remaining == 0; });
   if (first_error) std::rethrow_exception(first_error);
 }
 

@@ -73,6 +73,17 @@ MemoryBreakdown MemoryModel::breakdown(int batch, int max_context,
   return b;
 }
 
+long long MemoryModel::kv_token_capacity(const hw::DeviceSpec& dev,
+                                         int prefill_tokens) const {
+  const double budget = dev.usable_mem() - weight_bytes_per_device() -
+                        activation_bytes(prefill_tokens);
+  MIB_ENSURE(budget > 0, model_.name << ": weights leave no room for KV cache");
+  const auto tokens =
+      static_cast<long long>(budget / kv_bytes_per_token_per_device());
+  MIB_ENSURE(tokens >= 1, "KV capacity below one token");
+  return tokens;
+}
+
 int MemoryModel::max_concurrent_seqs(int max_context, int prefill_tokens,
                                      const hw::DeviceSpec& dev) const {
   const double budget = dev.usable_mem() - weight_bytes_per_device() -

@@ -43,6 +43,12 @@ class MemoryModel {
   MemoryBreakdown breakdown(int batch, int max_context,
                             int prefill_tokens) const;
 
+  /// KV-cache capacity in tokens per device once the sharded weights and
+  /// the activation watermark of a `prefill_tokens`-token step are
+  /// resident. Throws when the weights leave no room for one token.
+  long long kv_token_capacity(const hw::DeviceSpec& dev,
+                              int prefill_tokens) const;
+
   /// Largest number of sequences of `max_context` tokens that fit on the
   /// device after weights and activations; 0 if even the weights don't fit.
   int max_concurrent_seqs(int max_context, int prefill_tokens,

@@ -1,11 +1,12 @@
-#include "fleet/replica.h"
+#include "engine/replica.h"
 
 #include <algorithm>
+#include <iterator>
 #include <tuple>
 
 #include "common/error.h"
 
-namespace mib::fleet {
+namespace mib::engine {
 
 void ReplicaConfig::validate() const {
   MIB_ENSURE(max_batch >= 1, "replica max_batch must be >= 1");
@@ -14,7 +15,7 @@ void ReplicaConfig::validate() const {
   MIB_ENSURE(prefix_cache_entries >= 0, "negative prefix cache size");
 }
 
-Replica::Replica(const engine::LayerCostModel* cost,
+Replica::Replica(const LayerCostModel* cost,
                  long long kv_capacity_tokens, ReplicaConfig cfg)
     : cost_(cost), kv_capacity_(kv_capacity_tokens), cfg_(cfg) {
   MIB_ENSURE(cost_ != nullptr, "replica needs a cost model");
@@ -22,7 +23,7 @@ Replica::Replica(const engine::LayerCostModel* cost,
   cfg_.validate();
 }
 
-void Replica::set_cost_model(const engine::LayerCostModel* cost) {
+void Replica::set_cost_model(const LayerCostModel* cost) {
   MIB_ENSURE(cost != nullptr, "replica needs a cost model");
   cost_ = cost;
 }
@@ -136,8 +137,21 @@ std::vector<Sequence> Replica::drop_expired(double now) {
 }
 
 void Replica::admit() {
+  // Gang batching drains the running batch before admitting again.
+  if (!cfg_.continuous_batching && !running_.empty()) return;
   while (!waiting_.empty() &&
          static_cast<int>(running_.size()) < cfg_.max_batch) {
+    if (cfg_.policy == QueuePolicy::kShortestFirst) {
+      // SJF: move the shortest total job (first on ties) to the head. The
+      // others keep their order, so ties resolve the same way next time.
+      const auto shortest = std::min_element(
+          waiting_.begin(), waiting_.end(),
+          [](const Sequence& a, const Sequence& b) {
+            return a.input_tokens + a.output_tokens <
+                   b.input_tokens + b.output_tokens;
+          });
+      std::rotate(waiting_.begin(), shortest, std::next(shortest));
+    }
     const Sequence& head = waiting_.front();
     // A migrated sequence arrives with KV already accumulated; reserve for
     // whichever is larger, its resident state or its full prompt.
@@ -222,7 +236,7 @@ void Replica::begin_step(double now) {
     }
     // All-prefill batch that cannot fit a single chunk: free KV by
     // preempting until one fits (never leaves fewer than one sequence —
-    // a lone sequence always fits, the fleet validates that on submit).
+    // a lone sequence always fits; callers validate that on submit).
     if (decode_batch == 0 && prefill_tokens == 0 && running_.size() > 1) {
       preempt_youngest();
       continue;
@@ -232,8 +246,8 @@ void Replica::begin_step(double now) {
   MIB_ENSURE(decode_batch > 0 || prefill_tokens > 0,
              "replica built a zero-work step");
 
-  // Price the step exactly like the single-replica simulator: LM head and
-  // per-step overhead are charged once per engine step, not once per phase.
+  // The LM head and per-step overhead are charged once per engine step,
+  // not once per phase.
   double step_time = 0.0;
   if (decode_batch > 0) {
     const double avg_ctx =
@@ -336,4 +350,4 @@ std::vector<Sequence> Replica::evacuate() {
   return out;
 }
 
-}  // namespace mib::fleet
+}  // namespace mib::engine

@@ -1,290 +1,80 @@
 #include "engine/scheduler.h"
 
 #include <algorithm>
-#include <cmath>
-#include <deque>
 
 #include "common/error.h"
-#include "common/rng.h"
 
 namespace mib::engine {
-
-void SchedulerConfig::validate() const {
-  MIB_ENSURE(max_batch >= 1, "max_batch must be >= 1");
-  MIB_ENSURE(prefill_tokens_per_step >= 1,
-             "prefill budget must be >= 1 token");
-  MIB_ENSURE(arrival_rate_qps >= 0.0, "negative arrival rate");
-}
 
 ServingSimulator::ServingSimulator(EngineConfig engine, SchedulerConfig sched)
     : cfg_(std::move(engine)),
       sched_(sched),
-      cost_(cfg_.model, cfg_.cluster, cfg_.plan, cfg_.cost),
-      mem_(cfg_.model, cfg_.plan, cfg_.cost.weight_dtype, cfg_.cost.kv_dtype,
-           cfg_.cost.act_dtype) {
+      cost_(cfg_.model, cfg_.cluster, cfg_.plan, cfg_.cost) {
   cfg_.validate();
   sched_.validate();
-  const double budget =
-      cfg_.cluster.device().usable_mem() - mem_.weight_bytes_per_device() -
-      mem_.activation_bytes(sched_.prefill_tokens_per_step);
-  MIB_ENSURE(budget > 0,
-             cfg_.model.name << ": weights leave no room for KV cache");
-  kv_capacity_tokens_ = static_cast<long long>(
-      budget / mem_.kv_bytes_per_token_per_device());
-  MIB_ENSURE(kv_capacity_tokens_ >= 1, "KV capacity below one token");
+  const MemoryModel mem(cfg_.model, cfg_.plan, cfg_.cost.weight_dtype,
+                        cfg_.cost.kv_dtype, cfg_.cost.act_dtype);
+  kv_capacity_tokens_ = mem.kv_token_capacity(cfg_.cluster.device(),
+                                              sched_.prefill_tokens_per_step);
 }
-
-namespace {
-
-/// One in-flight sequence.
-struct Seq {
-  int id = 0;
-  double arrival = 0.0;
-  int input_tokens = 0;
-  int output_tokens = 0;
-  int prefilled = 0;   ///< prompt tokens already processed
-  int generated = 0;   ///< output tokens emitted
-  double first_token = -1.0;
-
-  bool prefill_done() const { return prefilled >= input_tokens; }
-  bool finished() const { return generated >= output_tokens; }
-  /// Tokens currently resident in the KV cache.
-  long long kv_tokens() const { return prefilled + generated; }
-};
-
-}  // namespace
 
 ServingReport ServingSimulator::run(
     const std::vector<Request>& requests) const {
   MIB_ENSURE(!requests.empty(), "empty request trace");
-
-  // Arrival schedule: explicit Request::arrival_s timestamps when the trace
-  // carries any (the workload/arrivals.h path); otherwise the deprecated
-  // in-simulator Poisson shim driven by arrival_rate_qps.
-  const bool explicit_arrivals =
-      std::any_of(requests.begin(), requests.end(),
-                  [](const Request& r) { return r.arrival_s > 0.0; });
-  Rng rng(sched_.seed);
-  std::deque<Seq> waiting;
-  double arrival = 0.0;
+  std::vector<Sequence> arrivals(requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    requests[i].validate();
-    const int in_eff = cost_.effective_prompt_tokens(requests[i].input_tokens,
-                                                     requests[i].n_images);
-    MIB_ENSURE(in_eff + requests[i].output_tokens <= kv_capacity_tokens_,
+    const Request& r = requests[i];
+    r.validate();
+    Sequence& s = arrivals[i];
+    s.request_id = static_cast<int>(i);
+    s.arrival_s = r.arrival_s;
+    s.input_tokens = cost_.effective_prompt_tokens(r.input_tokens, r.n_images);
+    s.output_tokens = r.output_tokens;
+    MIB_ENSURE(s.input_tokens + s.output_tokens <= kv_capacity_tokens_,
                "request " << i << " exceeds KV capacity even alone");
-    if (explicit_arrivals) {
-      arrival = requests[i].arrival_s;
-    } else if (sched_.arrival_rate_qps > 0.0 && i > 0) {
-      arrival += -std::log(1.0 - rng.uniform()) / sched_.arrival_rate_qps;
-    }
-    Seq s;
-    s.id = static_cast<int>(i);
-    s.arrival = arrival;
-    s.input_tokens = in_eff;
-    s.output_tokens = requests[i].output_tokens;
-    waiting.push_back(s);
   }
-  if (explicit_arrivals) {
-    // FCFS admission peeks at the queue head; explicit stamps need not be
-    // sorted, so order the queue by arrival time (stable on ties).
-    std::stable_sort(waiting.begin(), waiting.end(),
-                     [](const Seq& a, const Seq& b) {
-                       return a.arrival < b.arrival;
-                     });
-  }
+  std::stable_sort(arrivals.begin(), arrivals.end(),
+                   [](const Sequence& a, const Sequence& b) {
+                     return a.arrival_s < b.arrival_s;
+                   });
 
-  std::vector<Seq> running;
-  std::vector<RequestOutcome> done(requests.size());
+  Replica replica(&cost_, kv_capacity_tokens_, sched_);
+  ServingReport rep;
+  rep.requests.resize(requests.size());
   double now = 0.0;
-  long long steps = 0;
-  double occupancy_acc = 0.0;
-  int preemptions = 0;
-  // After a preemption, admission pauses until a running sequence retires
-  // (otherwise the victim is readmitted next step and thrashes, losing its
-  // progress every cycle).
-  bool admission_blocked = false;
-  std::size_t completed = 0;
-  const long long total_requests = static_cast<long long>(requests.size());
-  // Generous runaway guard: every request needs at most in+out steps even
-  // with a 1-token prefill budget.
-  long long max_steps = 0;
-  for (const auto& r : requests) {
-    max_steps += r.input_tokens + r.output_tokens + 4;
-  }
-  max_steps = std::max<long long>(max_steps, 1024) * 4;
-
-  auto kv_in_use = [&] {
-    long long used = 0;
-    for (const auto& s : running) used += s.kv_tokens();
-    return used;
-  };
-
+  double occupancy = 0.0;
+  std::size_t next = 0, completed = 0;
   while (completed < requests.size()) {
-    // --- admission ---
-    if (running.empty()) admission_blocked = false;
-    const bool can_admit =
-        !admission_blocked && (sched_.continuous_batching || running.empty());
-    if (can_admit) {
-      for (;;) {
-        if (waiting.empty() ||
-            static_cast<int>(running.size()) >= sched_.max_batch) {
-          break;
-        }
-        // Candidate: FCFS takes the head; SJF takes the shortest job among
-        // already-arrived requests.
-        std::size_t pick = 0;
-        if (sched_.policy == QueuePolicy::kShortestFirst) {
-          long long best = -1;
-          bool found = false;
-          for (std::size_t i = 0; i < waiting.size(); ++i) {
-            if (waiting[i].arrival > now) continue;
-            const long long cost =
-                waiting[i].input_tokens + waiting[i].output_tokens;
-            if (!found || cost < best) {
-              best = cost;
-              pick = i;
-              found = true;
-            }
-          }
-          if (!found) break;
-        } else if (waiting.front().arrival > now) {
-          break;
-        }
-        if (kv_in_use() + waiting[pick].input_tokens >
-            kv_capacity_tokens_) {
-          break;
-        }
-        running.push_back(waiting[pick]);
-        waiting.erase(waiting.begin() + static_cast<std::ptrdiff_t>(pick));
-      }
+    while (next < arrivals.size() && arrivals[next].arrival_s <= now) {
+      replica.enqueue(arrivals[next++]);
     }
-    if (running.empty()) {
-      // Idle: jump to the next arrival.
-      MIB_ENSURE(!waiting.empty(), "scheduler stalled with no work");
-      now = std::max(now, waiting.front().arrival);
+    if (!replica.has_work()) {  // idle: jump to the next arrival
+      now = arrivals[next].arrival_s;
       continue;
     }
-
-    // --- build the step: decode batch + chunked prefill ---
-    int decode_batch = 0;
-    double ctx_sum = 0.0;
-    int prefill_budget = sched_.prefill_tokens_per_step;
-    int prefill_tokens = 0;
-    for (auto& s : running) {
-      if (s.prefill_done()) {
-        ++decode_batch;
-        ctx_sum += static_cast<double>(s.kv_tokens());
-      } else if (prefill_budget > 0) {
-        const int chunk =
-            std::min(prefill_budget, s.input_tokens - s.prefilled);
-        // KV must hold the newly prefilled tokens.
-        if (kv_in_use() + chunk <= kv_capacity_tokens_) {
-          s.prefilled += chunk;
-          prefill_budget -= chunk;
-          prefill_tokens += chunk;
-        }
-      }
-    }
-
-    // --- KV pressure: decode steps grow every running context by one ---
-    while (kv_in_use() + decode_batch > kv_capacity_tokens_ &&
-           running.size() > 1) {
-      // Preempt the youngest sequence (vLLM recompute policy): its KV is
-      // dropped and it rejoins the waiting queue from scratch.
-      auto victim = std::max_element(
-          running.begin(), running.end(),
-          [](const Seq& a, const Seq& b) { return a.arrival < b.arrival; });
-      Seq s = *victim;
-      running.erase(victim);
-      s.prefilled = 0;
-      s.generated = 0;
-      s.first_token = -1.0;
-      waiting.push_front(s);
-      ++preemptions;
-      admission_blocked = true;
-      decode_batch = 0;
-      ctx_sum = 0.0;
-      for (const auto& r : running) {
-        if (r.prefill_done()) {
-          ++decode_batch;
-          ctx_sum += static_cast<double>(r.kv_tokens());
-        }
-      }
-    }
-
-    // --- price the step ---
-    double step_time = 0.0;
-    if (decode_batch > 0) {
-      const double avg_ctx =
-          std::max(1.0, ctx_sum / static_cast<double>(decode_batch));
-      step_time += cost_.decode_step(decode_batch, avg_ctx).total();
-    }
-    if (prefill_tokens > 0) {
-      auto pf = cost_.prefill(1, prefill_tokens);
-      // The LM-head/sampling and per-step overhead are charged once per
-      // engine step, not once per phase.
-      step_time += pf.total() - pf.head - pf.overhead;
-      if (decode_batch == 0) {
-        step_time += pf.head + pf.overhead;
-      }
-    }
-    MIB_ENSURE(step_time > 0.0, "zero-cost step");
-    now += step_time;
-    ++steps;
-    occupancy_acc += static_cast<double>(running.size());
-    MIB_ENSURE(steps <= max_steps, "scheduler exceeded step bound");
-
-    // --- apply results: decodes emit one token; finished seqs retire ---
-    for (auto it = running.begin(); it != running.end();) {
-      Seq& s = *it;
-      bool advanced = false;
-      if (s.prefill_done() && s.generated < s.output_tokens) {
-        // A sequence whose prefill completed THIS step emits its first
-        // token now; afterwards it decodes one token per step.
-        if (s.first_token < 0.0) {
-          s.first_token = now;
-          s.generated = 1;
-        } else {
-          ++s.generated;
-        }
-        advanced = true;
-      }
-      if (advanced && s.finished()) {
-        RequestOutcome& o = done[static_cast<std::size_t>(s.id)];
-        o.arrival_s = s.arrival;
-        o.first_token_s = s.first_token;
-        o.finish_s = now;
-        o.input_tokens = s.input_tokens;
-        o.output_tokens = s.output_tokens;
-        ++completed;
-        admission_blocked = false;  // capacity retired: admissions resume
-        it = running.erase(it);
-      } else {
-        ++it;
-      }
+    replica.begin_step(now);
+    occupancy += replica.running_count();
+    now = replica.step_end_s();
+    for (const Sequence& s : replica.complete_step()) {
+      rep.requests[static_cast<std::size_t>(s.request_id)] = {
+          s.arrival_s, s.first_token_s, now, s.input_tokens, s.output_tokens};
+      ++completed;
     }
   }
 
-  ServingReport rep;
-  rep.makespan_s = now;
-  rep.steps = steps;
-  rep.preemptions = preemptions;
-  rep.mean_running_batch =
-      steps > 0 ? occupancy_acc / static_cast<double>(steps) : 0.0;
   double total_tokens = 0.0, gen_tokens = 0.0;
-  for (const auto& o : done) {
+  for (const auto& o : rep.requests) {
     rep.ttft_s.add(o.ttft());
     rep.e2e_s.add(o.e2e());
     total_tokens += o.input_tokens + o.output_tokens;
     gen_tokens += o.output_tokens;
   }
+  rep.makespan_s = now;
+  rep.steps = replica.steps();
+  rep.preemptions = replica.preemptions();
+  rep.mean_running_batch = occupancy / static_cast<double>(rep.steps);
   rep.throughput_tok_s = total_tokens / now;
   rep.goodput_tok_s = gen_tokens / now;
-  rep.requests = std::move(done);
-  MIB_ENSURE(rep.requests.size() == requests.size() &&
-                 completed == static_cast<std::size_t>(total_requests),
-             "request conservation violated");
   return rep;
 }
 

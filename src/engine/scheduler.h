@@ -3,43 +3,25 @@
 // The paper benchmarks static uniform batches; production engines run
 // continuous batching: sequences join and leave the running batch every
 // step, prefills are chunked into a per-step token budget, and KV pressure
-// preempts the youngest sequence instead of failing. This discrete-step
-// simulator prices every step with the LayerCostModel and reports the
-// serving-level quantities the static grid cannot show: TTFT/e2e
-// distributions under load, batch occupancy, and preemption counts.
+// preempts the youngest sequence instead of failing. ServingSimulator runs
+// a trace to completion on one engine::Replica (engine/replica.h, the one
+// implementation of that discipline, shared with the fleet simulator) and
+// reports the serving-level quantities the static grid cannot show:
+// TTFT/e2e distributions under load, batch occupancy, and preemption
+// counts. Arrival times come from the trace (`Request::arrival_s`, stamped
+// by workload/arrivals.h); unstamped requests all arrive at t=0.
 #pragma once
 
 #include <vector>
 
 #include "common/stats.h"
 #include "engine/engine.h"
+#include "engine/replica.h"
 
 namespace mib::engine {
 
-/// Admission order for waiting requests.
-enum class QueuePolicy {
-  kFcfs,           ///< first-come first-served (vLLM default)
-  kShortestFirst,  ///< shortest total tokens first (SJF)
-};
-
-struct SchedulerConfig {
-  /// Max concurrent sequences in the running batch.
-  int max_batch = 256;
-  QueuePolicy policy = QueuePolicy::kFcfs;
-  /// Chunked-prefill token budget per engine step.
-  int prefill_tokens_per_step = 2048;
-  /// DEPRECATED: Poisson arrival rate (requests/s); 0 = everything arrives
-  /// at t=0. Superseded by explicit `Request::arrival_s` timestamps (see
-  /// workload/arrivals.h) — when any request in the trace carries a nonzero
-  /// arrival_s, those timestamps win and this knob is ignored.
-  double arrival_rate_qps = 0.0;
-  /// false = static gang batching: admit a full batch, drain it completely
-  /// before admitting again (the paper's setting).
-  bool continuous_batching = true;
-  std::uint64_t seed = 1;
-
-  void validate() const;
-};
+/// The serving simulator's settings are the replica's.
+using SchedulerConfig = ReplicaConfig;
 
 /// Per-request outcome.
 struct RequestOutcome {
@@ -81,7 +63,6 @@ class ServingSimulator {
   EngineConfig cfg_;
   SchedulerConfig sched_;
   LayerCostModel cost_;
-  MemoryModel mem_;
   long long kv_capacity_tokens_ = 0;
 };
 

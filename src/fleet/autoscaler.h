@@ -24,8 +24,8 @@ struct AutoscalerConfig {
   int scale_up_queue_depth = 8;
   /// Queued requests at or below which an idle replica is drained.
   int scale_down_queue_depth = 0;
-  /// Placement: false picks the lowest-index inactive slot (PR 1 — in
-  /// effect cloning the last placement); true spreads new replicas across
+  /// Placement: false picks the lowest-index inactive slot (in effect
+  /// cloning the last placement); true spreads new replicas across
   /// failure domains, picking the slot whose spread group (parent of its
   /// attachment domain) currently holds the fewest active replicas, ties
   /// to the lowest index. No-op without a topology.

@@ -192,8 +192,8 @@ bool ControlPlane::reachable(int router, int replica, double t) const {
 bool ControlPlane::reply_reachable(int replica, int router, double t) const {
   const PartitionWindow* w = partition_at(t);
   if (w == nullptr) return true;
-  // A clean cut keeps PR 4's semantics: established response streams
-  // survive. Only an asymmetric cut models reply loss.
+  // A clean cut lets established response streams survive. Only an
+  // asymmetric cut models reply loss.
   if (!w->open_to_minority && !w->open_to_majority) return true;
   const bool rep_minor = contains(w->minority_replicas, replica);
   const bool rtr_minor = contains(w->minority_routers, router);

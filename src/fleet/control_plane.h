@@ -1,8 +1,8 @@
 // Control-plane redundancy: replicated front-end routers with eventually-
 // consistent breaker views and client-side fail-over.
 //
-// PR 1/2 routed everything through a single infallible zero-latency router
-// that always saw the live circuit-breaker state. Real front-ends are N
+// The simplest front end is one infallible zero-latency router that always
+// sees the live circuit-breaker state. Real front-ends are N
 // replicated processes that (a) can die, and (b) learn breaker transitions
 // through a view-sync channel with a propagation delay. Both costs become
 // measurable here:
@@ -20,10 +20,10 @@
 //    it. The fleet reports the accumulated disagreement time and the
 //    number of stale dispatches.
 //
-// With routers = 1 and no router faults the plane collapses to the PR 1/2
-// behaviour bit-for-bit: one router, live view, no stranding.
+// With routers = 1 and no router faults the plane collapses bit-for-bit to
+// that single router: live view, no stranding.
 //
-// Network partitions (PR 4): a PartitionWindow splits the plane into a
+// Network partitions: a PartitionWindow splits the plane into a
 // majority and a minority side for [start_s, end_s). The minority routers
 // (and optionally a slice of replicas cut off with them) keep serving on
 // the breaker view they held when the partition started — they do not
@@ -33,11 +33,11 @@
 // configurable policy resolves the divergence: fence-the-minority cancels
 // every duplicate copy the minority still holds (KV freed), while
 // first-commit-wins lets both copies race to completion and cancels the
-// loser. With partition.enabled = false the plane is bitwise-identical to
-// the PR 3 behaviour.
+// loser. With partition.enabled = false no cut ever forms and the plane is
+// bitwise-identical to the unpartitioned model above.
 //
-// Gray failures (PR 5): real partitions are rarely the clean binary cut
-// above. Four refinements, each defaulting to the PR 4 behaviour:
+// Gray failures: real partitions are rarely the clean binary cut above.
+// Four refinements, each defaulting to the clean cut:
 //
 //  - Asymmetric links: a window can leave one direction of the cut
 //    passing traffic (open_to_minority / open_to_majority). Dispatches
@@ -57,10 +57,10 @@
 //    survivor instead of being double-dispatched later.
 //  - Jittered client backoff: the single fixed client patience becomes a
 //    full-jitter exponential schedule (retry_multiplier, retry_jitter,
-//    max_client_retries), reusing the splitmix hash scheme of the PR 2
-//    server-side retry policy.
+//    max_client_retries), reusing the splitmix hash scheme of the
+//    server-side RetryPolicy.
 //
-// A clean cut keeps PR 4's charitable assumption that response streams
+// A clean cut keeps the charitable assumption that response streams
 // established before (or across) the cut survive it; an asymmetric cut is
 // precisely the gray failure where they do not.
 #pragma once
@@ -100,11 +100,11 @@ enum class HealPolicy {
 
 const char* heal_policy_name(HealPolicy policy);
 
-/// What a minority side does about the work it cannot coordinate. PR 4's
-/// minority served on its frozen view forever; a quorum rule lets it
-/// notice it lost the majority and stop admitting.
+/// What a minority side does about the work it cannot coordinate. Without
+/// a quorum rule the minority serves on its frozen view for the whole cut;
+/// with one it notices it lost the majority and stops admitting.
 enum class QuorumPolicy {
-  /// PR 4: the minority keeps admitting on its frozen view.
+  /// The minority keeps admitting on its frozen view.
   kServeStale,
   /// The minority fences itself the instant the cut starts: new
   /// dispatches at a fenced router are refused and re-homed to the
@@ -136,12 +136,12 @@ struct PartitionWindow {
   bool open_to_minority = false;
   /// Asymmetric cut, other direction: minority routers can still dispatch
   /// onto majority replicas; replies majority -> minority are lost unless
-  /// open_to_minority is also set. Both flags false = PR 4's clean cut.
+  /// open_to_minority is also set. Both flags false = a clean cut.
   bool open_to_majority = false;
   /// Flapping: with flap_period_s > 0 this window expands into a train of
   /// cut episodes — cut for the first flap_duty fraction of every period,
   /// healed for the rest, clipped at end_s. Every episode freezes views
-  /// and heals independently. 0 = one solid cut (PR 4).
+  /// and heals independently. 0 = one solid cut.
   double flap_period_s = 0.0;
   /// Fraction of each flap period spent cut, in (0, 1]. 1 = solid.
   double flap_duty = 0.5;
@@ -157,7 +157,7 @@ struct PartitionConfig {
   double client_retry_s = 0.1;
   HealPolicy heal = HealPolicy::kFenceMinority;
   /// Whether a minority side without a strict router majority keeps
-  /// serving (PR 4) or fences itself. The complement side always holds
+  /// serving or fences itself. The complement side always holds
   /// the tie-breaker and never fences.
   QuorumPolicy quorum = QuorumPolicy::kServeStale;
   /// Lease the minority serves on before kFenceAfterGrace fences it,
@@ -166,16 +166,16 @@ struct PartitionConfig {
   /// Client backoff across repeated patience expiries: attempt k waits
   /// client_retry_s * retry_multiplier^(k-1), full-jittered by
   /// retry_jitter (same splitmix scheme as RetryPolicy). The defaults —
-  /// multiplier 1, jitter 0, one attempt — reproduce PR 4's single fixed
-  /// patience bit-for-bit.
+  /// multiplier 1, jitter 0, one attempt — are a single fixed patience of
+  /// client_retry_s.
   double retry_multiplier = 1.0;
   double retry_jitter = 0.0;
   int max_client_retries = 1;
   /// Partitions also sever the replica-to-replica drain fabric: a KV
   /// migration out of a minority-side source aborts mid-stripe (or is
   /// never attempted) and falls back to evacuate-and-recompute, unless
-  /// the minority -> majority direction is open. false = PR 4 (drain
-  /// traffic ignores cuts).
+  /// the minority -> majority direction is open. false = drain traffic
+  /// ignores cuts.
   bool sever_drain_fabric = false;
   std::vector<PartitionWindow> windows;
 
@@ -185,7 +185,7 @@ struct PartitionConfig {
 struct ControlPlaneConfig {
   int routers = 1;
   /// Seconds between a router's snapshots of breaker state; 0 = every
-  /// router always sees the live view (the PR 1/2 single-view model).
+  /// router always sees the live view (a single shared view).
   double view_sync_interval_s = 0.0;
   /// Client-side lag before a request at a dead router re-enters at a
   /// surviving one.
@@ -259,9 +259,9 @@ class ControlPlane {
   /// cross-cut direction router-side -> replica-side is open.
   bool reachable(int router, int replica, double t) const;
   /// Whether a completion from replica i can reach the router that
-  /// dispatched it. Clean cuts keep PR 4's assumption that established
-  /// response streams survive; on an asymmetric cut the reply must cross
-  /// replica-side -> router-side along an open direction.
+  /// dispatched it. Clean cuts assume that established response streams
+  /// survive; on an asymmetric cut the reply must cross replica-side ->
+  /// router-side along an open direction.
   bool reply_reachable(int replica, int router, double t) const;
   /// Whether a majority-initiated cancel reaches replica i at t.
   bool cancel_reachable(int replica, double t) const;

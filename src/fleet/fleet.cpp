@@ -69,6 +69,9 @@ void stamp_arrivals(const workload::ArrivalConfig& cfg,
 void FleetConfig::validate() const {
   engine.validate();
   replica.validate();
+  MIB_ENSURE(replica.policy == engine::QueuePolicy::kFcfs &&
+                 replica.continuous_batching,
+             "fleet replicas serve FCFS with continuous batching");
   MIB_ENSURE(n_replicas >= 1, "fleet needs at least one replica");
   admission.validate();
   retry.validate();
@@ -147,14 +150,8 @@ FleetSimulator::FleetSimulator(FleetConfig cfg)
       mem_(cfg_.engine.model, cfg_.engine.plan, cfg_.engine.cost.weight_dtype,
            cfg_.engine.cost.kv_dtype, cfg_.engine.cost.act_dtype) {
   cfg_.validate();
-  const double budget = cfg_.engine.cluster.device().usable_mem() -
-                        mem_.weight_bytes_per_device() -
-                        mem_.activation_bytes(cfg_.replica.prefill_tokens_per_step);
-  MIB_ENSURE(budget > 0, cfg_.engine.model.name
-                             << ": weights leave no room for KV cache");
-  kv_capacity_tokens_ =
-      static_cast<long long>(budget / mem_.kv_bytes_per_token_per_device());
-  MIB_ENSURE(kv_capacity_tokens_ >= 1, "KV capacity below one token");
+  kv_capacity_tokens_ = mem_.kv_token_capacity(
+      cfg_.engine.cluster.device(), cfg_.replica.prefill_tokens_per_step);
   // Expand domain events over the topology into the per-replica schedules
   // the event loop prices. With no topology and no domain events these are
   // the explicit schedules unchanged.
@@ -233,7 +230,7 @@ FleetReport FleetSimulator::run(const std::vector<FleetRequest>& trace) const {
   const DegradationSchedule warm(warmup_windows_);
   ControlPlane plane(cfg_.control, cfg_.policy, cfg_.seed, pool);
   // Every split-brain path below is gated on this: with no partition
-  // windows configured the run is bitwise-identical to the PR 3 loop.
+  // windows configured none of them runs.
   const bool partitions = plane.partition_enabled();
   AdmissionController admission(cfg_.admission);
   const Autoscaler scaler(cfg_.autoscaler);
@@ -318,7 +315,7 @@ FleetReport FleetSimulator::run(const std::vector<FleetRequest>& trace) const {
   // first token visible, the majority admits a duplicate copy. With
   // max_client_retries > 1 the patience re-arms on a full-jitter
   // exponential backoff (the gray-failure client model); the defaults
-  // reproduce PR 4's single fixed timer bit-for-bit.
+  // are a single fixed timer.
   struct DupTimer {
     double at = 0.0;
     int id = -1;
@@ -465,7 +462,7 @@ FleetReport FleetSimulator::run(const std::vector<FleetRequest>& trace) const {
   // salt from the server-side retry stream so the two schedules never
   // correlate. Returns false when an attempt is already pending or the
   // client's retry budget is spent. The defaults (multiplier 1, jitter 0,
-  // one attempt) reproduce PR 4's single fixed patience bit-for-bit.
+  // one attempt) are a single fixed patience.
   auto arm_client_timer = [&](int id, double t) {
     const auto u = static_cast<std::size_t>(id);
     const auto& pc = cfg_.control.partition;

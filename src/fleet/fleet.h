@@ -10,7 +10,7 @@
 // backoff), and the autoscaler reacts to queue depth. Everything is
 // deterministic for a fixed seed.
 //
-// Partial-failure resilience (PR 2): replicas can also be *slow* instead
+// Partial-failure resilience: replicas can also be *slow* instead
 // of dead (DegradationWindow, priced on derated hardware), the front-end
 // detects failures through heartbeats and circuit breakers instead of
 // reading the fault schedule (HealthMonitor — detection lag, false
@@ -19,11 +19,11 @@
 // replica by migrating its in-flight KV to peers over the datacenter
 // fabric instead of recomputing from scratch.
 //
-// Correlated failures and control-plane redundancy (PR 3): replicas
+// Correlated failures and control-plane redundancy: replicas
 // attach to a failure-domain tree (node -> rack -> switch -> zone) and
 // fault/degradation events injected at any domain take out everything
 // below it at once, so the detector sees a simultaneous suspicion burst
-// instead of independent opens. The front end itself is now N replicated
+// instead of independent opens. The front end itself is N replicated
 // routers with eventually-consistent breaker views (requests strand at a
 // dead router until client fail-over; stale views cause measurable
 // mis-dispatches), recovered replicas ramp back through a short warm-up
@@ -32,7 +32,7 @@
 // source, and hedge copies respect admission capacity — shed first under
 // overload.
 //
-// Partition tolerance (PR 4): a network partition
+// Partition tolerance: a network partition
 // (control.partition.windows) splits routers and a slice of replicas into
 // majority/minority sides. The minority keeps serving on its frozen
 // breaker view — genuine split-brain, not benign staleness: minority-homed
@@ -102,7 +102,7 @@ struct FleetConfig {
   /// Brownouts: replicas running slow (throttle, ECC, contended fabric).
   std::vector<DegradationWindow> degradations;
   /// Failure-domain tree the replicas attach to; empty = every replica is
-  /// its own isolated node (the PR 1/2 independence assumption).
+  /// its own isolated node (failures are independent).
   TopologyConfig topology;
   /// Correlated outages: every replica under the named domain goes down.
   std::vector<DomainFault> domain_faults;
@@ -116,7 +116,7 @@ struct FleetConfig {
   std::vector<MaintenanceWindow> maintenance;
   MigrationConfig migration;
   /// Heartbeat failure detection + circuit breakers. When disabled the
-  /// router falls back to the PR 1 oracle (it sees the fault schedule).
+  /// router is an oracle (it sees the fault schedule).
   HealthConfig health;
   HedgeConfig hedge;
   AutoscalerConfig autoscaler;
@@ -169,7 +169,7 @@ struct FleetReport {
   long long circuit_opens = 0;
   long long false_circuit_opens = 0;  ///< opened while the replica was up
   /// Failure until the front-end learned of it (circuit open or observed
-  /// restart) — the cost of not having PR 1's oracle.
+  /// restart) — the cost of not having an oracle.
   Samples detection_lag_s;
   long long hedges_shed = 0;       ///< hedge copies refused or dropped
                                    ///< under admission pressure

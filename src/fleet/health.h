@@ -1,8 +1,8 @@
 // Failure detection without an oracle: heartbeats, phi-accrual suspicion,
 // and a per-replica circuit breaker.
 //
-// PR 1's router consulted the fault schedule directly — omniscient and
-// therefore free of detection lag, false positives and recovery probes,
+// An oracle router would consult the fault schedule directly — omniscient
+// and therefore free of detection lag, false positives and recovery probes,
 // exactly the costs that dominate real incidents. Here each replica emits
 // a heartbeat every heartbeat_interval_s while alive (stretched when the
 // replica is degraded — a struggling node services its control plane
@@ -30,7 +30,7 @@
 namespace mib::fleet {
 
 struct HealthConfig {
-  /// false restores the PR 1 oracle: the router sees the fault schedule.
+  /// false selects the oracle: the router sees the fault schedule.
   bool enabled = true;
   double heartbeat_interval_s = 0.02;
   /// Suspicion level that opens the circuit. phi = 3 tolerates a silence

@@ -31,14 +31,14 @@ struct HedgeConfig {
   /// true: hedge copies pass through the admission queue like everyone
   /// else and are the first load shed under overload (a hedge is optional
   /// work; primaries must not be rejected to make room for insurance).
-  /// false: hedges bypass admission entirely — the PR 2 behaviour.
+  /// false: hedges bypass admission entirely.
   bool sheddable = true;
   /// Utilization gate (the other half of the tail-at-scale recipe): a
   /// hedge only fires while the fraction of in-service replicas that are
   /// busy is at or below this. Near saturation the extra copies stop —
   /// hedging into a fleet with no spare capacity pushes the one healthy
   /// replica over the edge instead of protecting the tail. 1.0 = never
-  /// gate (PR 2/3 behaviour).
+  /// gate.
   double max_utilization = 1.0;
 
   void validate() const {

@@ -1,8 +1,8 @@
 // Planned maintenance: drain a replica by migrating its in-flight KV state
 // to peers instead of throwing the work away.
 //
-// PR 1's only way to take a replica out was the fault path: evacuate,
-// lose all progress, recompute elsewhere. For *planned* events (kernel
+// The fault path takes a replica out by evacuating it: all progress is
+// lost and recomputed elsewhere. For *planned* events (kernel
 // upgrades, recabling, host reboots) the source is still healthy, so its
 // KV blocks can be shipped to a peer over the datacenter fabric and the
 // sequence resumes where it left off. The transfer is priced by
@@ -40,19 +40,19 @@ struct MaintenanceWindow {
 
 struct MigrationConfig {
   /// true: ship KV to a peer and resume; false: evacuate-and-recompute
-  /// (progress lost, re-dispatched immediately — the PR 1 baseline, kept
-  /// for the crossover study).
+  /// (progress lost, re-dispatched immediately — the fault path's
+  /// treatment, kept as the crossover study's baseline).
   bool migrate_kv = true;
   /// Fabric the KV blocks cross between replicas (distinct nodes).
   hw::LinkSpec link = hw::ib_ndr400();
   /// Fixed per-sequence handoff cost (control-plane RPC, block table).
   double per_sequence_overhead_s = 0.002;
   /// Parallel fabric links the drain can stripe KV transfers across (a
-  /// multi-NIC host). 1 = the single serialized NIC of PR 2.
+  /// multi-NIC host). 1 = a single serialized NIC.
   int stripe_links = 1;
   /// true: the source keeps decoding a sequence while its KV ships
   /// layer-wise; only the delta produced during the copy is re-sent at the
-  /// cutover. false: the sequence freezes for the whole transfer (PR 2).
+  /// cutover. false: the sequence freezes for the whole transfer.
   bool overlap_decode = false;
 
   void validate() const {

@@ -197,7 +197,7 @@ WarmupPlan plan_warmup(const WarmupConfig& cfg,
       // Down-time-dependent ramp: a blip shorter than the reference only
       // partially cools the replica, so it pays a proportionally shorter
       // and shallower staircase. downtime_ref_s == 0 copies the config
-      // values untouched (PR 3, bitwise).
+      // values untouched.
       double duration = cfg.duration_s;
       double initial = cfg.initial_scale;
       if (cfg.downtime_ref_s > 0.0) {

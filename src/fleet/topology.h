@@ -134,7 +134,7 @@ struct WarmupConfig {
   /// at 1 - (1 - initial_scale) * min(1, d / downtime_ref_s). A short
   /// blip barely cools the caches, so it barely ramps; outages at or
   /// beyond the reference pay the full configured staircase. 0 = every
-  /// recovery pays the full ramp (PR 3, bitwise).
+  /// recovery pays the full ramp.
   double downtime_ref_s = 0.0;
 
   void validate() const {

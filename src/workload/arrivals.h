@@ -2,10 +2,9 @@
 //
 // The paper's grid submits everything at t=0; serving studies need traffic
 // that arrives over time. This module owns the arrival processes (Poisson
-// and a diurnally-modulated Poisson) and stamps `engine::Request::arrival_s`
-// so simulators consume explicit timestamps instead of growing their own
-// arrival logic (ServingSimulator's `arrival_rate_qps` survives only as a
-// deprecated shim over the Poisson process here).
+// and a diurnally-modulated Poisson) and stamps `engine::Request::arrival_s`.
+// It is the only source of arrival times: ServingSimulator and the fleet
+// simulator both consume the stamps and have no arrival logic of their own.
 #pragma once
 
 #include <cstdint>

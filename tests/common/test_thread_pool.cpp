@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "common/error.h"
@@ -76,6 +77,42 @@ TEST(ThreadPool, ParallelForLargeGrain) {
     sum.fetch_add(static_cast<long long>(i));
   });
   EXPECT_EQ(sum.load(), 10000LL * 10001 / 2);
+}
+
+// Overwrite the stack region a just-returned parallel_for frame occupied,
+// so a worker that still touches that frame's mutex or condition variable
+// finds garbage rather than a fresh zeroed object.
+[[gnu::noinline]] void scribble_stack() {
+  volatile unsigned char buf[2048];
+  for (std::size_t i = 0; i < sizeof buf; ++i) {
+    buf[i] = static_cast<unsigned char>(0xA5 ^ i);
+  }
+}
+
+TEST(ThreadPool, ParallelForFrameOutlivesWorkers) {
+  // parallel_for's completion state lives on the caller's stack. Many
+  // concurrent callers returning as fast as possible expose any worker
+  // that signals completion after the caller may already have returned.
+  // Twice as many workers as a 4-core host has cores keep workers being
+  // descheduled mid-task, which is what opens the window.
+  ThreadPool pool(8);
+  constexpr int kCallers = 8;
+  constexpr int kCalls = 20000;
+  std::atomic<long long> hits{0};
+  std::vector<std::thread> callers;
+  callers.reserve(kCallers);
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&] {
+      for (int k = 0; k < kCalls; ++k) {
+        pool.parallel_for(0, 8, [&](std::size_t) {
+          hits.fetch_add(1, std::memory_order_relaxed);
+        });
+        scribble_stack();
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(hits.load(), 8LL * kCallers * kCalls);
 }
 
 }  // namespace

@@ -16,6 +16,11 @@ struct SweepCase {
   DType dtype;
 };
 
+// gtest otherwise prints the raw bytes, pointers included, into the test name.
+void PrintTo(const SweepCase& p, std::ostream* os) {
+  *os << p.model << " on " << p.device << " at " << dtype_name(p.dtype);
+}
+
 class EngineSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(EngineSweep, MetricsSane) {

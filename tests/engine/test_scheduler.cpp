@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "models/zoo.h"
+#include "workload/arrivals.h"
 #include "workload/generator.h"
 
 namespace mib::engine {
@@ -17,6 +18,14 @@ EngineConfig engine_cfg() {
 
 std::vector<Request> uniform(int n, int in, int out) {
   return make_uniform_batch(n, in, out);
+}
+
+std::vector<Request> poisson(std::vector<Request> trace, double qps) {
+  workload::ArrivalConfig ac;
+  ac.rate_qps = qps;
+  ac.seed = 1;
+  workload::stamp_arrivals(ac, trace);
+  return trace;
 }
 
 TEST(Scheduler, AllRequestsComplete) {
@@ -34,10 +43,8 @@ TEST(Scheduler, AllRequestsComplete) {
 }
 
 TEST(Scheduler, DeterministicAcrossRuns) {
-  SchedulerConfig sc;
-  sc.arrival_rate_qps = 20.0;
-  ServingSimulator sim(engine_cfg(), sc);
-  const auto trace = uniform(24, 512, 64);
+  ServingSimulator sim(engine_cfg(), SchedulerConfig{});
+  const auto trace = poisson(uniform(24, 512, 64), 20.0);
   const auto a = sim.run(trace);
   const auto b = sim.run(trace);
   EXPECT_DOUBLE_EQ(a.makespan_s, b.makespan_s);
@@ -67,13 +74,10 @@ TEST(Scheduler, StaticBatchingIsSlowerOnMixedLengths) {
 }
 
 TEST(Scheduler, TtftGrowsWithLoad) {
-  SchedulerConfig light;
-  light.arrival_rate_qps = 1.0;
-  SchedulerConfig heavy;
-  heavy.arrival_rate_qps = 1000.0;
   const auto trace = uniform(32, 1024, 128);
-  const auto l = ServingSimulator(engine_cfg(), light).run(trace);
-  const auto h = ServingSimulator(engine_cfg(), heavy).run(trace);
+  const ServingSimulator sim(engine_cfg(), SchedulerConfig{});
+  const auto l = sim.run(poisson(trace, 1.0));
+  const auto h = sim.run(poisson(trace, 1000.0));
   // Under heavy load requests queue behind each other: p95 TTFT inflates.
   EXPECT_GT(h.ttft_s.percentile(95), l.ttft_s.percentile(95));
   // Lightly-loaded system is mostly idle: lower total throughput.
@@ -143,21 +147,16 @@ TEST(Scheduler, ConfigValidation) {
   bad = SchedulerConfig{};
   bad.prefill_tokens_per_step = 0;
   EXPECT_THROW(ServingSimulator(engine_cfg(), bad), Error);
-  bad = SchedulerConfig{};
-  bad.arrival_rate_qps = -1.0;
-  EXPECT_THROW(ServingSimulator(engine_cfg(), bad), Error);
 }
 
 TEST(Scheduler, HonorsExplicitArrivalStamps) {
-  // Requests carrying arrival_s stamps bypass the deprecated
-  // arrival_rate_qps Poisson shim entirely.
+  // Requests carrying arrival_s stamps are served no earlier than their
+  // stamps.
   auto trace = uniform(16, 256, 32);
   for (std::size_t i = 0; i < trace.size(); ++i) {
     trace[i].arrival_s = 0.25 * static_cast<double>(i);
   }
-  SchedulerConfig sc;
-  sc.arrival_rate_qps = 1000.0;  // must be ignored when stamps are present
-  ServingSimulator sim(engine_cfg(), sc);
+  ServingSimulator sim(engine_cfg(), SchedulerConfig{});
   const auto rep = sim.run(trace);
   ASSERT_EQ(rep.requests.size(), 16u);
   for (std::size_t i = 0; i < rep.requests.size(); ++i) {

@@ -2,6 +2,7 @@
 
 #include "engine/scheduler.h"
 #include "models/zoo.h"
+#include "workload/arrivals.h"
 #include "workload/generator.h"
 
 namespace mib::engine {
@@ -53,8 +54,12 @@ TEST(SchedulerPolicy, SjfDoesNotChangeTotalWork) {
 TEST(SchedulerPolicy, SjfRespectsArrivalTimes) {
   SchedulerConfig sjf;
   sjf.policy = QueuePolicy::kShortestFirst;
-  sjf.arrival_rate_qps = 5.0;
-  const auto rep = ServingSimulator(engine_cfg(), sjf).run(mixed_trace(24));
+  auto trace = mixed_trace(24);
+  workload::ArrivalConfig ac;
+  ac.rate_qps = 5.0;
+  ac.seed = 1;
+  workload::stamp_arrivals(ac, trace);
+  const auto rep = ServingSimulator(engine_cfg(), sjf).run(trace);
   for (const auto& o : rep.requests) {
     EXPECT_GE(o.first_token_s, o.arrival_s);  // never served before arrival
   }

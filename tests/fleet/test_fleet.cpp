@@ -163,6 +163,13 @@ TEST(Fleet, ConfigValidation) {
   cfg = base_cfg(2);
   cfg.faults.push_back(FaultWindow{5, 0.0, 1.0});  // outside the pool
   EXPECT_THROW({ FleetSimulator sim(cfg); }, Error);
+  // Replicas in a fleet serve FCFS with continuous batching only.
+  cfg = base_cfg(2);
+  cfg.replica.policy = engine::QueuePolicy::kShortestFirst;
+  EXPECT_THROW(cfg.validate(), Error);
+  cfg = base_cfg(2);
+  cfg.replica.continuous_batching = false;
+  EXPECT_THROW(cfg.validate(), Error);
 }
 
 TEST(Fleet, TurnTraceIsTurnMajorAndHashStable) {

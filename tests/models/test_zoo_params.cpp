@@ -18,6 +18,9 @@ struct PublishedCounts {
   double tol;       ///< relative tolerance (VL2 family is calibrated)
 };
 
+// gtest otherwise prints the raw bytes, pointer included, into the test name.
+void PrintTo(const PublishedCounts& p, std::ostream* os) { *os << p.name; }
+
 class ZooParams : public ::testing::TestWithParam<PublishedCounts> {};
 
 TEST_P(ZooParams, MatchesPublishedTotals) {

@@ -30,6 +30,11 @@ struct DtypeBound {
   double min_rel_err;  ///< must be genuinely lossy (not a silent no-op)
 };
 
+// gtest otherwise prints the raw bytes, padding included, into the test name.
+void PrintTo(const DtypeBound& p, std::ostream* os) {
+  *os << dtype_name(p.dt);
+}
+
 class QuantErrorBound : public ::testing::TestWithParam<DtypeBound> {};
 
 TEST_P(QuantErrorBound, RelErrWithinBand) {
