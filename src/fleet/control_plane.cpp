@@ -8,16 +8,6 @@ namespace mib::fleet {
 
 namespace {
 
-std::vector<FaultWindow> as_fault_windows(
-    const std::vector<RouterFaultWindow>& windows) {
-  std::vector<FaultWindow> out;
-  out.reserve(windows.size());
-  for (const auto& w : windows) {
-    out.push_back(FaultWindow{w.router, w.start_s, w.end_s});
-  }
-  return out;
-}
-
 bool contains(const std::vector<int>& v, int x) {
   for (int e : v) {
     if (e == x) return true;
@@ -110,7 +100,7 @@ void PartitionConfig::validate(int routers) const {
 
 ControlPlane::ControlPlane(const ControlPlaneConfig& cfg, RoutePolicy policy,
                            std::uint64_t seed, int pool)
-    : cfg_(cfg), schedule_(as_fault_windows(cfg.router_faults)) {
+    : cfg_(cfg), schedule_(cfg.router_faults) {
   cfg_.validate();
   routers_.reserve(static_cast<std::size_t>(cfg_.routers));
   for (int r = 0; r < cfg_.routers; ++r) {
@@ -260,11 +250,9 @@ int ControlPlane::majority_survivor(double t) const {
 }
 
 double ControlPlane::next_partition_transition_after(double t) const {
-  double best = std::numeric_limits<double>::infinity();
-  if (!partition_enabled()) return best;
+  if (!partition_enabled()) return std::numeric_limits<double>::infinity();
+  double best = next_edge_after(expanded_, t);
   for (const auto& w : expanded_) {
-    if (w.start_s > t) best = std::min(best, w.start_s);
-    if (w.end_s > t) best = std::min(best, w.end_s);
     // The fence edge is an interior event (kFenceAfterGrace): the loop
     // must wake exactly when the minority's lease expires.
     const double fence = fence_time(w);

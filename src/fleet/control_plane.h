@@ -75,18 +75,9 @@
 
 namespace mib::fleet {
 
-/// One front-end router outage: down for [start_s, end_s).
-struct RouterFaultWindow {
-  int router = 0;
-  double start_s = 0.0;
-  double end_s = 0.0;
-
-  void validate() const {
-    MIB_ENSURE(router >= 0, "router fault names a negative router");
-    MIB_ENSURE(start_s >= 0.0, "router fault starts before t=0");
-    MIB_ENSURE(end_s > start_s, "router fault must have positive duration");
-  }
-};
+/// One front-end router outage: router `replica` is down for
+/// [start_s, end_s).
+using RouterFaultWindow = FaultWindow;
 
 /// How the plane resolves split-brain state when a partition heals.
 enum class HealPolicy {
@@ -201,18 +192,10 @@ struct ControlPlaneConfig {
                "router fail-over detection lag must be > 0");
     for (const auto& w : router_faults) {
       w.validate();
-      MIB_ENSURE(w.router < routers, "router fault names router "
-                                         << w.router << " of " << routers);
+      MIB_ENSURE(w.replica < routers, "router fault names router "
+                                          << w.replica << " of " << routers);
     }
-    for (std::size_t i = 0; i < router_faults.size(); ++i) {
-      for (std::size_t j = i + 1; j < router_faults.size(); ++j) {
-        const auto& a = router_faults[i];
-        const auto& b = router_faults[j];
-        if (a.router != b.router) continue;
-        MIB_ENSURE(a.end_s <= b.start_s || b.end_s <= a.start_s,
-                   "overlapping fault windows for router " << a.router);
-      }
-    }
+    ensure_disjoint_windows(router_faults, "fault windows for router");
     partition.validate(routers);
   }
 };

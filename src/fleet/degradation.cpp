@@ -1,37 +1,11 @@
 #include "fleet/degradation.h"
 
-#include <limits>
-
 namespace mib::fleet {
 
 DegradationSchedule::DegradationSchedule(std::vector<DegradationWindow> windows)
     : windows_(std::move(windows)) {
   for (const auto& w : windows_) w.validate();
-  for (std::size_t i = 0; i < windows_.size(); ++i) {
-    for (std::size_t j = i + 1; j < windows_.size(); ++j) {
-      const auto& a = windows_[i];
-      const auto& b = windows_[j];
-      if (a.replica != b.replica) continue;
-      MIB_ENSURE(a.end_s <= b.start_s || b.end_s <= a.start_s,
-                 "overlapping degradation windows for replica " << a.replica);
-    }
-  }
-}
-
-PerfScale DegradationSchedule::at(int replica, double t) const {
-  for (const auto& w : windows_) {
-    if (w.replica == replica && t >= w.start_s && t < w.end_s) return w.scale;
-  }
-  return PerfScale{};
-}
-
-double DegradationSchedule::next_transition_after(double t) const {
-  double best = std::numeric_limits<double>::infinity();
-  for (const auto& w : windows_) {
-    if (w.start_s > t) best = std::min(best, w.start_s);
-    if (w.end_s > t) best = std::min(best, w.end_s);
-  }
-  return best;
+  ensure_disjoint_windows(windows_, "degradation windows for replica");
 }
 
 DegradedCostPool::DegradedCostPool(

@@ -18,6 +18,7 @@
 #include "common/error.h"
 #include "engine/engine.h"
 #include "engine/layer_cost.h"
+#include "fleet/faults.h"
 
 namespace mib::fleet {
 
@@ -72,10 +73,15 @@ class DegradationSchedule {
   explicit DegradationSchedule(std::vector<DegradationWindow> windows);
 
   /// Effective scale of `replica` at time t (identity outside windows).
-  PerfScale at(int replica, double t) const;
+  PerfScale at(int replica, double t) const {
+    const DegradationWindow* w = window_at(windows_, replica, t);
+    return w != nullptr ? w->scale : PerfScale{};
+  }
 
   /// Earliest window edge strictly after t, or +infinity.
-  double next_transition_after(double t) const;
+  double next_transition_after(double t) const {
+    return next_edge_after(windows_, t);
+  }
 
   const std::vector<DegradationWindow>& windows() const { return windows_; }
 

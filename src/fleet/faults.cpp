@@ -1,46 +1,15 @@
 #include "fleet/faults.h"
 
 #include <cmath>
-#include <limits>
 
 #include "common/rng.h"
 
 namespace mib::fleet {
 
-void ensure_disjoint_windows(const std::vector<FaultWindow>& windows) {
-  for (std::size_t i = 0; i < windows.size(); ++i) {
-    for (std::size_t j = i + 1; j < windows.size(); ++j) {
-      const auto& a = windows[i];
-      const auto& b = windows[j];
-      if (a.replica != b.replica) continue;
-      MIB_ENSURE(a.end_s <= b.start_s || b.end_s <= a.start_s,
-                 "overlapping fault windows for replica "
-                     << a.replica << ": [" << a.start_s << ", " << a.end_s
-                     << ") and [" << b.start_s << ", " << b.end_s << ")");
-    }
-  }
-}
-
 FaultSchedule::FaultSchedule(std::vector<FaultWindow> windows)
     : windows_(std::move(windows)) {
   for (const auto& w : windows_) w.validate();
   ensure_disjoint_windows(windows_);
-}
-
-bool FaultSchedule::up(int replica, double t) const {
-  for (const auto& w : windows_) {
-    if (w.replica == replica && t >= w.start_s && t < w.end_s) return false;
-  }
-  return true;
-}
-
-double FaultSchedule::next_transition_after(double t) const {
-  double best = std::numeric_limits<double>::infinity();
-  for (const auto& w : windows_) {
-    if (w.start_s > t) best = std::min(best, w.start_s);
-    if (w.end_s > t) best = std::min(best, w.end_s);
-  }
-  return best;
 }
 
 double jitter_uniform(std::uint64_t key) {

@@ -9,31 +9,74 @@
 // still accounts for them).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/error.h"
 
 namespace mib::fleet {
 
-/// One replica outage: down for [start_s, end_s).
+/// One outage: replica (or, as RouterFaultWindow, router) `replica` is
+/// down for [start_s, end_s). Maintenance windows share the type.
 struct FaultWindow {
   int replica = 0;
   double start_s = 0.0;
   double end_s = 0.0;
 
   void validate() const {
-    MIB_ENSURE(replica >= 0, "fault window names a negative replica");
-    MIB_ENSURE(start_s >= 0.0, "fault window starts before t=0");
-    MIB_ENSURE(end_s > start_s, "fault window must have positive duration");
+    MIB_ENSURE(replica >= 0, "outage window names a negative id");
+    MIB_ENSURE(start_s >= 0.0, "outage window starts before t=0");
+    MIB_ENSURE(end_s > start_s, "outage window must have positive duration");
   }
 };
 
+// Every timed per-replica schedule in the fleet (faults, maintenance,
+// router faults, brownouts, warm-up ramps) is a list of windows with
+// `replica`, `start_s` and `end_s`, disjoint per replica. The three
+// templates below are the one implementation of its validation, its
+// point query and its edge query.
+
 /// Throws when two windows for the same replica overlap or duplicate each
-/// other (such schedules double-count up/down transitions and make the
-/// evacuation accounting ambiguous). Shared by fault, degradation and
-/// maintenance validation.
-void ensure_disjoint_windows(const std::vector<FaultWindow>& windows);
+/// other (such schedules double-count transitions and make the evacuation
+/// accounting ambiguous). `what` names the windows and their owner in the
+/// message, e.g. "fault windows for replica".
+template <typename W>
+void ensure_disjoint_windows(const std::vector<W>& windows,
+                             const char* what = "fault windows for replica") {
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    for (std::size_t j = i + 1; j < windows.size(); ++j) {
+      const auto& a = windows[i];
+      const auto& b = windows[j];
+      if (a.replica != b.replica) continue;
+      MIB_ENSURE(a.end_s <= b.start_s || b.end_s <= a.start_s,
+                 "overlapping " << what << " " << a.replica << ": ["
+                                << a.start_s << ", " << a.end_s << ") and ["
+                                << b.start_s << ", " << b.end_s << ")");
+    }
+  }
+}
+
+/// The window covering `replica` at time t, or nullptr.
+template <typename W>
+const W* window_at(const std::vector<W>& windows, int replica, double t) {
+  for (const auto& w : windows) {
+    if (w.replica == replica && t >= w.start_s && t < w.end_s) return &w;
+  }
+  return nullptr;
+}
+
+/// Earliest window edge (start or end) strictly after t, or +infinity.
+template <typename W>
+double next_edge_after(const std::vector<W>& windows, double t) {
+  double best = std::numeric_limits<double>::infinity();
+  for (const auto& w : windows) {
+    if (w.start_s > t) best = std::min(best, w.start_s);
+    if (w.end_s > t) best = std::min(best, w.end_s);
+  }
+  return best;
+}
 
 /// Immutable outage schedule with point-in-time and next-transition queries.
 class FaultSchedule {
@@ -41,10 +84,14 @@ class FaultSchedule {
   explicit FaultSchedule(std::vector<FaultWindow> windows);
 
   /// Whether `replica` is in service at time t.
-  bool up(int replica, double t) const;
+  bool up(int replica, double t) const {
+    return window_at(windows_, replica, t) == nullptr;
+  }
 
   /// Earliest window edge (start or end) strictly after t, or +infinity.
-  double next_transition_after(double t) const;
+  double next_transition_after(double t) const {
+    return next_edge_after(windows_, t);
+  }
 
   const std::vector<FaultWindow>& windows() const { return windows_; }
 

@@ -4,7 +4,9 @@
 #include <cmath>
 #include <limits>
 #include <queue>
+#include <string>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "common/error.h"
@@ -19,6 +21,20 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
   std::uint64_t state = a ^ (b + 0x9E3779B97F4A7C15ull + (a << 6) + (a >> 2));
   return splitmix64(state);
+}
+
+/// Validate one per-replica schedule: every window well-formed, disjoint
+/// per replica, and naming a replica inside the pool. `what` is the window
+/// kind in messages ("fault", "degradation", "maintenance").
+template <typename W>
+void validate_schedule(const std::vector<W>& windows, int pool,
+                       const std::string& what) {
+  for (const auto& w : windows) {
+    w.validate();
+    MIB_ENSURE(w.replica < pool, what << " window names replica " << w.replica
+                                      << " outside the pool of " << pool);
+  }
+  ensure_disjoint_windows(windows, (what + " windows for replica").c_str());
 }
 }  // namespace
 
@@ -75,28 +91,6 @@ void FleetConfig::validate() const {
   MIB_ENSURE(n_replicas >= 1, "fleet needs at least one replica");
   admission.validate();
   retry.validate();
-  for (const auto& w : faults) w.validate();
-  ensure_disjoint_windows(faults);
-  for (const auto& w : degradations) w.validate();
-  for (std::size_t i = 0; i < degradations.size(); ++i) {
-    for (std::size_t j = i + 1; j < degradations.size(); ++j) {
-      const auto& a = degradations[i];
-      const auto& b = degradations[j];
-      if (a.replica != b.replica) continue;
-      MIB_ENSURE(a.end_s <= b.start_s || b.end_s <= a.start_s,
-                 "overlapping degradation windows for replica " << a.replica);
-    }
-  }
-  for (const auto& w : maintenance) w.validate();
-  for (std::size_t i = 0; i < maintenance.size(); ++i) {
-    for (std::size_t j = i + 1; j < maintenance.size(); ++j) {
-      const auto& a = maintenance[i];
-      const auto& b = maintenance[j];
-      if (a.replica != b.replica) continue;
-      MIB_ENSURE(a.end_s <= b.start_s || b.end_s <= a.start_s,
-                 "overlapping maintenance windows for replica " << a.replica);
-    }
-  }
   migration.validate();
   if (health.enabled) health.validate();
   if (hedge.enabled) hedge.validate();
@@ -112,6 +106,9 @@ void FleetConfig::validate() const {
   const int pool = autoscaler.enabled
                        ? std::max(n_replicas, autoscaler.max_replicas)
                        : n_replicas;
+  validate_schedule(faults, pool, "fault");
+  validate_schedule(degradations, pool, "degradation");
+  validate_schedule(maintenance, pool, "maintenance");
   topology.validate(pool);
   MIB_ENSURE(domain_faults.empty() || topology.enabled(),
              "domain faults configured without a topology");
@@ -119,22 +116,6 @@ void FleetConfig::validate() const {
              "domain degradations configured without a topology");
   for (const auto& e : domain_faults) e.validate();
   for (const auto& e : domain_degradations) e.validate();
-  for (const auto& w : faults) {
-    MIB_ENSURE(w.replica < pool,
-               "fault window names replica " << w.replica
-                                             << " outside the pool of "
-                                             << pool);
-  }
-  for (const auto& w : degradations) {
-    MIB_ENSURE(w.replica < pool, "degradation window names replica "
-                                     << w.replica << " outside the pool of "
-                                     << pool);
-  }
-  for (const auto& w : maintenance) {
-    MIB_ENSURE(w.replica < pool, "maintenance window names replica "
-                                     << w.replica << " outside the pool of "
-                                     << pool);
-  }
   for (const auto& w : control.partition.windows) {
     for (int r : w.minority_replicas) {
       MIB_ENSURE(r < pool, "partition window names replica "
@@ -223,6 +204,7 @@ FleetReport FleetSimulator::run(const std::vector<FleetRequest>& trace) const {
   for (int i = 0; i < cfg_.n_replicas; ++i) active[static_cast<std::size_t>(i)] = true;
 
   const FaultSchedule faults(faults_expanded_);
+  const FaultSchedule maint(cfg_.maintenance);
   const DegradationSchedule degr(degr_expanded_);
   // Warm-up ramps live in their own schedule: they may overlap scheduled
   // brownouts (the one sanctioned composition) and are multiplied in at
@@ -260,19 +242,18 @@ FleetReport FleetSimulator::run(const std::vector<FleetRequest>& trace) const {
     rep.replicas[static_cast<std::size_t>(i)].replica = i;
   }
 
-  struct PendingRetry {
+  /// Work parked until `ready_s`. `src` is the replica a KV migration
+  /// ships out of (drain-fabric severing aborts in-flight transfers whose
+  /// source lands behind a cut); -1 for everything else.
+  struct Pending {
     double ready_s = 0.0;
     Sequence seq;
-  };
-  std::vector<PendingRetry> retries;
-  struct PendingMigration {
-    double ready_s = 0.0;
-    Sequence seq;
-    /// Source replica the KV is shipping out of (drain-fabric severing
-    /// aborts in-flight transfers whose source lands behind a cut).
     int src = -1;
   };
-  std::vector<PendingMigration> migrations;
+  /// Backoff retries, drain re-dispatches and parked dispatches.
+  std::vector<Pending> retries;
+  /// KV migrations in flight to their cutover.
+  std::vector<Pending> migrations;
   /// Overlap drain: a running sequence whose KV snapshot copy completes at
   /// `at`; the delta it decodes meanwhile is re-shipped at the cutover.
   struct PendingHandoff {
@@ -285,11 +266,7 @@ FleetReport FleetSimulator::run(const std::vector<FleetRequest>& trace) const {
   std::vector<PendingHandoff> handoffs;
   std::vector<bool> overlap_drain(static_cast<std::size_t>(pool), false);
   /// Requests waiting out the client fail-over lag at a dead home router.
-  struct RouterPending {
-    double ready_s = 0.0;
-    Sequence seq;
-  };
-  std::vector<RouterPending> router_pending;
+  std::vector<Pending> router_pending;
   /// Work that was on a replica when it died, held until the front-end
   /// *learns* of the failure (circuit opens or the restart is observed).
   std::vector<std::vector<Sequence>> stranded(static_cast<std::size_t>(pool));
@@ -408,20 +385,6 @@ FleetReport FleetSimulator::run(const std::vector<FleetRequest>& trace) const {
     for (const auto& r : reps) q += r.queue_depth();
     return q;
   };
-  auto maint_transition_after = [&](double t) {
-    double best = kInf;
-    for (const auto& w : cfg_.maintenance) {
-      if (w.start_s > t) best = std::min(best, w.start_s);
-      if (w.end_s > t) best = std::min(best, w.end_s);
-    }
-    return best;
-  };
-  auto in_maint_window = [&](int i, double t) {
-    for (const auto& w : cfg_.maintenance) {
-      if (w.replica == i && t >= w.start_s && t < w.end_s) return true;
-    }
-    return false;
-  };
   auto record_terminal = [&](const Sequence& s, RequestStatus status) {
     const auto u = static_cast<std::size_t>(s.request_id);
     MIB_ENSURE(!done[u], "request " << s.request_id << " resolved twice");
@@ -491,7 +454,7 @@ FleetReport FleetSimulator::run(const std::vector<FleetRequest>& trace) const {
       // restart), a breaker deadline, a maintenance edge, a view sync, a
       // router recovery, or the next autoscaler tick.
       double wake = faults.next_transition_after(t);
-      wake = std::min(wake, maint_transition_after(t));
+      wake = std::min(wake, maint.next_transition_after(t));
       if (!oracle) wake = std::min(wake, monitor.next_event_after(t));
       wake = std::min(wake, plane.next_sync_after(t));
       wake = std::min(wake, plane.next_router_transition_after(t));
@@ -508,7 +471,7 @@ FleetReport FleetSimulator::run(const std::vector<FleetRequest>& trace) const {
       MIB_ENSURE(std::isfinite(wake),
                  "no replica in service and none scheduled to recover");
       MIB_ENSURE(wake > t, "fleet parked without a future wake event");
-      retries.push_back(PendingRetry{wake, seq});
+      retries.push_back(Pending{wake, seq});
       return;
     }
     const int idx = plane.router(rtr).route(seq, reps, up);
@@ -524,7 +487,7 @@ FleetReport FleetSimulator::run(const std::vector<FleetRequest>& trace) const {
         // the usual detection lag, then re-enters at its home router
         // (whose view has had time to catch up).
         retries.push_back(
-            PendingRetry{t + cfg_.control.failover_detection_s, seq});
+            Pending{t + cfg_.control.failover_detection_s, seq});
         return;
       }
       // Breaker open but the node is alive (a false-positive open): the
@@ -572,7 +535,7 @@ FleetReport FleetSimulator::run(const std::vector<FleetRequest>& trace) const {
         // No live majority router either: strand client-side until the
         // fail-over lag passes (3i' re-checks fencing on re-entry).
         router_pending.push_back(
-            RouterPending{t + cfg_.control.failover_detection_s, seq});
+            Pending{t + cfg_.control.failover_detection_s, seq});
         return;
       } else if (plane.router_minority(home, t)) {
         // Minority-homed dispatch during a partition: the client's retry
@@ -587,7 +550,7 @@ FleetReport FleetSimulator::run(const std::vector<FleetRequest>& trace) const {
       rep.requests[static_cast<std::size_t>(seq.request_id)].router_failover =
           true;
       router_pending.push_back(
-          RouterPending{t + cfg_.control.failover_detection_s, seq});
+          Pending{t + cfg_.control.failover_detection_s, seq});
       return;
     }
     dispatch_via(home, std::move(seq), t);
@@ -666,7 +629,7 @@ FleetReport FleetSimulator::run(const std::vector<FleetRequest>& trace) const {
           mix(cfg_.seed, mix(static_cast<std::uint64_t>(s.request_id),
                              static_cast<std::uint64_t>(s.retries)));
       retries.push_back(
-          PendingRetry{t + cfg_.retry.delay(s.retries, key), s});
+          Pending{t + cfg_.retry.delay(s.retries, key), s});
     }
   };
   // Learn of a failure (detection or observed restart): lag metric.
@@ -677,6 +640,55 @@ FleetReport FleetSimulator::run(const std::vector<FleetRequest>& trace) const {
       fault_started_at[u] = -1.0;
     }
   };
+
+  // Layer-wise chunks stripe across the configured parallel links, so a
+  // transfer's wire time divides by the stripe width.
+  const double stripe_bytes =
+      kv_bytes_per_token / static_cast<double>(cfg_.migration.stripe_links);
+  // Drain-fabric time to ship one sequence's KV snapshot.
+  auto ship_s = [&](long long kv_tokens) {
+    return cfg_.migration.per_sequence_overhead_s +
+           migration_link.p2p(static_cast<double>(kv_tokens) * stripe_bytes);
+  };
+  // Drain by KV migration: `seq` leaves replica `src` (its drain began at
+  // `since`) and re-enters service elsewhere once its KV lands at `ready`.
+  auto migrate = [&](Sequence seq, int src, double since, double ready) {
+    ++rep.migrations;
+    rep.migrated_kv_tokens += seq.kv_tokens();
+    rep.migration_s.add(ready - since);
+    rep.requests[static_cast<std::size_t>(seq.request_id)].migrated = true;
+    migrations.push_back(Pending{ready, std::move(seq), src});
+  };
+  // Drain by evacuate-and-recompute: progress is lost and the sequence
+  // re-dispatches at t. Planned drains are front-end initiated, so no
+  // backoff and no retry-budget charge.
+  auto recompute = [&](Sequence seq, double t) {
+    if (seq.kv_tokens() > 0) ++rep.drain_evacuations;
+    seq.prefilled = 0;
+    seq.generated = 0;
+    seq.first_token_s = -1.0;
+    seq.prefix_hit = false;
+    retries.push_back(Pending{t, std::move(seq)});
+  };
+  // Take the entries of a pending list that are due at `now`, in a
+  // deterministic order: list order, then stable-sorted by (time, id).
+  auto take_due = [&now](auto& list, auto time_of, auto id_of) {
+    using Entry = typename std::decay_t<decltype(list)>::value_type;
+    const auto split = std::stable_partition(
+        list.begin(), list.end(),
+        [&](const Entry& e) { return time_of(e) > now; });
+    std::vector<Entry> due(std::make_move_iterator(split),
+                           std::make_move_iterator(list.end()));
+    list.erase(split, list.end());
+    std::stable_sort(due.begin(), due.end(),
+                     [&](const Entry& a, const Entry& b) {
+                       return std::make_pair(time_of(a), id_of(a)) <
+                              std::make_pair(time_of(b), id_of(b));
+                     });
+    return due;
+  };
+  auto ready_of = [](const Pending& p) { return p.ready_s; };
+  auto id_of = [](const Pending& p) { return p.seq.request_id; };
 
   while (resolved < n) {
     // --- 1. kick every in-service replica that is idle but has work ---
@@ -748,7 +760,7 @@ FleetReport FleetSimulator::run(const std::vector<FleetRequest>& trace) const {
     t_next = std::min(t_next, faults.next_transition_after(now));
     t_next = std::min(t_next, degr.next_transition_after(now));
     t_next = std::min(t_next, warm.next_transition_after(now));
-    t_next = std::min(t_next, maint_transition_after(now));
+    t_next = std::min(t_next, maint.next_transition_after(now));
     t_next = std::min(t_next, plane.next_sync_after(now));
     t_next = std::min(t_next, plane.next_router_transition_after(now));
     if (!oracle) {
@@ -807,135 +819,68 @@ FleetReport FleetSimulator::run(const std::vector<FleetRequest>& trace) const {
     // --- 3c. maintenance transitions: drain (migrate or recompute) ---
     for (int i = 0; i < pool; ++i) {
       const auto u = static_cast<std::size_t>(i);
-      const bool maint_now = in_maint_window(i, now);
-      // Layer-wise chunks stripe across the configured parallel links, so
-      // a transfer's wire time divides by the stripe width.
-      const double stripe_bytes =
-          kv_bytes_per_token /
-          static_cast<double>(cfg_.migration.stripe_links);
-      if (maint_now && !in_maint[u]) {
-        in_maint[u] = true;
+      const bool maint_now = !maint.up(i, now);
+      if (maint_now == in_maint[u]) continue;
+      in_maint[u] = maint_now;
+      // A severed drain fabric (the source behind a cut with
+      // sever_drain_fabric set) cannot ship KV at all: every drain on this
+      // replica falls back to evacuate-and-recompute.
+      const bool severed = partitions && !plane.drain_reachable(i, now);
+      double cursor = now;  // transfers serialize on the striped fabric
+      // Ship one frozen sequence's KV to a peer, or recompute it: nothing
+      // resident to move (still queued), recompute mode, or a severed
+      // fabric (counted as an aborted migration).
+      auto drain_one = [&](Sequence s) {
+        MIB_ENSURE(!done[static_cast<std::size_t>(s.request_id)],
+                   "drained copy of a resolved request");
+        if (!cfg_.migration.migrate_kv || s.kv_tokens() == 0) {
+          recompute(std::move(s), now);
+        } else if (severed) {
+          ++rep.migration_aborts;
+          recompute(std::move(s), now);
+        } else {
+          cursor += ship_s(s.kv_tokens());
+          migrate(std::move(s), i, now, cursor);
+        }
+      };
+      if (maint_now) {
         if (!oracle) {
           monitor.suspend(i);
           next_hb[u] = kInf;
         }
-        if (active[u]) {
-          // A severed drain fabric (the source behind a cut with
-          // sever_drain_fabric set) cannot ship KV at all: every drain on
-          // this replica falls back to evacuate-and-recompute.
-          const bool severed = partitions && !plane.drain_reachable(i, now);
-          double cursor = now;  // transfers serialize on the striped fabric
-          auto frozen_migrate = [&](Sequence s) {
-            const auto id = static_cast<std::size_t>(s.request_id);
-            const double xfer =
-                cfg_.migration.per_sequence_overhead_s +
-                migration_link.p2p(static_cast<double>(s.kv_tokens()) *
-                                   stripe_bytes);
-            cursor += xfer;
-            ++rep.migrations;
-            rep.migrated_kv_tokens += s.kv_tokens();
-            rep.migration_s.add(cursor - now);
-            rep.requests[id].migrated = true;
-            migrations.push_back(PendingMigration{cursor, s, i});
-          };
-          auto redispatch = [&](Sequence s) {
-            // Nothing resident to move (still queued), or recompute
-            // mode: progress is lost, re-dispatch right away — planned
-            // drains are front-end initiated, so no backoff and no
-            // retry-budget charge.
-            if (s.kv_tokens() > 0) ++rep.drain_evacuations;
-            s.prefilled = 0;
-            s.generated = 0;
-            s.first_token_s = -1.0;
-            s.prefix_hit = false;
-            retries.push_back(PendingRetry{now, s});
-          };
-          const bool overlap = cfg_.migration.overlap_decode &&
-                               cfg_.migration.migrate_kv && !severed &&
-                               reps[u].running_count() > 0;
-          if (overlap) {
-            // Overlap drain: queued work re-enters elsewhere right away;
-            // the running batch keeps decoding on the source while its KV
-            // snapshots copy out behind it (handoffs fire at each copy's
-            // completion and re-ship only the delta decoded meanwhile).
-            for (auto& s : reps[u].take_waiting()) {
-              MIB_ENSURE(!done[static_cast<std::size_t>(s.request_id)],
-                         "drained copy of a resolved request");
-              if (s.kv_tokens() > 0) {
-                frozen_migrate(std::move(s));  // migrated-in, not decoding
-              } else {
-                redispatch(std::move(s));
-              }
-            }
-            overlap_drain[u] = true;
-            for (const auto& s : reps[u].running()) {
-              MIB_ENSURE(!done[static_cast<std::size_t>(s.request_id)],
-                         "drained copy of a resolved request");
-              cursor += cfg_.migration.per_sequence_overhead_s +
-                        migration_link.p2p(
-                            static_cast<double>(s.kv_tokens()) * stripe_bytes);
-              handoffs.push_back(
-                  PendingHandoff{cursor, i, s.request_id, s.kv_tokens(), now});
-            }
-          } else {
-            for (auto& s : reps[u].take_all()) {
-              MIB_ENSURE(!done[static_cast<std::size_t>(s.request_id)],
-                         "drained copy of a resolved request");
-              if (cfg_.migration.migrate_kv && s.kv_tokens() > 0) {
-                if (severed) {
-                  ++rep.migration_aborts;
-                  redispatch(std::move(s));
-                } else {
-                  frozen_migrate(std::move(s));
-                }
-              } else {
-                redispatch(std::move(s));
-              }
-            }
+        if (!active[u]) continue;
+        const bool overlap = cfg_.migration.overlap_decode &&
+                             cfg_.migration.migrate_kv && !severed &&
+                             reps[u].running_count() > 0;
+        if (overlap) {
+          // Overlap drain: queued work re-enters elsewhere right away;
+          // the running batch keeps decoding on the source while its KV
+          // snapshots copy out behind it (handoffs fire at each copy's
+          // completion and re-ship only the delta decoded meanwhile).
+          for (auto& s : reps[u].take_waiting()) drain_one(std::move(s));
+          overlap_drain[u] = true;
+          for (const auto& s : reps[u].running()) {
+            MIB_ENSURE(!done[static_cast<std::size_t>(s.request_id)],
+                       "drained copy of a resolved request");
+            cursor += ship_s(s.kv_tokens());
+            handoffs.push_back(
+                PendingHandoff{cursor, i, s.request_id, s.kv_tokens(), now});
           }
+        } else {
+          for (auto& s : reps[u].take_all()) drain_one(std::move(s));
         }
-      } else if (!maint_now && in_maint[u]) {
-        in_maint[u] = false;
+      } else {
         if (overlap_drain[u]) {
           // The reboot cannot wait for the copy any longer: cancel the
           // in-flight snapshots, freeze what is still on the source, and
           // ship it cold from here.
           overlap_drain[u] = false;
-          for (auto it = handoffs.begin(); it != handoffs.end();) {
-            if (it->replica == i) {
-              it = handoffs.erase(it);
-            } else {
-              ++it;
-            }
-          }
-          double cursor = now;
-          const bool severed = partitions && !plane.drain_reachable(i, now);
-          for (auto& s : reps[u].take_all()) {
-            const auto id = static_cast<std::size_t>(s.request_id);
-            MIB_ENSURE(!done[id], "drained copy of a resolved request");
-            if (s.kv_tokens() > 0 && !severed) {
-              const double xfer =
-                  cfg_.migration.per_sequence_overhead_s +
-                  migration_link.p2p(static_cast<double>(s.kv_tokens()) *
-                                     stripe_bytes);
-              cursor += xfer;
-              ++rep.migrations;
-              rep.migrated_kv_tokens += s.kv_tokens();
-              rep.migration_s.add(cursor - now);
-              rep.requests[id].migrated = true;
-              migrations.push_back(PendingMigration{cursor, s, i});
-            } else {
-              if (s.kv_tokens() > 0) {
-                ++rep.migration_aborts;
-                ++rep.drain_evacuations;
-              }
-              s.prefilled = 0;
-              s.generated = 0;
-              s.first_token_s = -1.0;
-              s.prefix_hit = false;
-              retries.push_back(PendingRetry{now, s});
-            }
-          }
+          handoffs.erase(std::remove_if(handoffs.begin(), handoffs.end(),
+                                        [i](const PendingHandoff& h) {
+                                          return h.replica == i;
+                                        }),
+                         handoffs.end());
+          for (auto& s : reps[u].take_all()) drain_one(std::move(s));
         }
         if (!oracle && active[u]) {
           monitor.resume(i, now);
@@ -1042,18 +987,10 @@ FleetReport FleetSimulator::run(const std::vector<FleetRequest>& trace) const {
           // now-isolated source abort mid-stripe and fall back to
           // evacuate-and-recompute — the shipped bytes are wasted and the
           // sequence re-prefills from scratch on the other side.
-          auto recompute = [&](Sequence s) {
-            ++rep.migration_aborts;
-            if (s.kv_tokens() > 0) ++rep.drain_evacuations;
-            s.prefilled = 0;
-            s.generated = 0;
-            s.first_token_s = -1.0;
-            s.prefix_hit = false;
-            retries.push_back(PendingRetry{now, std::move(s)});
-          };
           for (auto it = migrations.begin(); it != migrations.end();) {
             if (it->src >= 0 && !plane.drain_reachable(it->src, now)) {
-              recompute(std::move(it->seq));
+              ++rep.migration_aborts;
+              recompute(std::move(it->seq), now);
               it = migrations.erase(it);
             } else {
               ++it;
@@ -1064,7 +1001,8 @@ FleetReport FleetSimulator::run(const std::vector<FleetRequest>& trace) const {
               Sequence s;
               if (reps[static_cast<std::size_t>(it->replica)].take(it->id,
                                                                    &s)) {
-                recompute(std::move(s));
+                ++rep.migration_aborts;
+                recompute(std::move(s), now);
               }
               it = handoffs.erase(it);
             } else {
@@ -1131,70 +1069,33 @@ FleetReport FleetSimulator::run(const std::vector<FleetRequest>& trace) const {
     }
 
     // --- 3g0. overlap-drain cutovers: snapshot copy done, ship the delta ---
-    {
-      std::vector<PendingHandoff> due;
-      for (auto it = handoffs.begin(); it != handoffs.end();) {
-        if (it->at <= now) {
-          due.push_back(*it);
-          it = handoffs.erase(it);
-        } else {
-          ++it;
-        }
+    for (auto& h : take_due(
+             handoffs, [](const PendingHandoff& e) { return e.at; },
+             [](const PendingHandoff& e) { return e.id; })) {
+      Sequence s;
+      // The sequence may have finished on the source meanwhile (the best
+      // outcome), crashed off it, or been cancelled as a hedge loser.
+      if (!reps[static_cast<std::size_t>(h.replica)].take(h.id, &s)) continue;
+      MIB_ENSURE(!done[static_cast<std::size_t>(h.id)],
+                 "handed off a resolved request");
+      if (s.kv_tokens() == 0) {
+        // Preempted back to zero during the copy: nothing to cut over,
+        // the snapshot transfer was wasted — recompute elsewhere.
+        ++rep.drain_evacuations;
+        recompute(std::move(s), now);
+        continue;
       }
-      std::stable_sort(due.begin(), due.end(),
-                       [](const PendingHandoff& a, const PendingHandoff& b) {
-                         return std::tie(a.at, a.id) < std::tie(b.at, b.id);
-                       });
-      const double stripe_bytes =
-          kv_bytes_per_token /
-          static_cast<double>(cfg_.migration.stripe_links);
-      for (auto& h : due) {
-        const auto u = static_cast<std::size_t>(h.replica);
-        Sequence s;
-        // The sequence may have finished on the source meanwhile (the best
-        // outcome), crashed off it, or been cancelled as a hedge loser.
-        if (!reps[u].take(h.id, &s)) continue;
-        const auto id = static_cast<std::size_t>(h.id);
-        MIB_ENSURE(!done[id], "handed off a resolved request");
-        if (s.kv_tokens() == 0) {
-          // Preempted back to zero during the copy: nothing to cut over,
-          // the snapshot transfer was wasted — recompute elsewhere.
-          ++rep.drain_evacuations;
-          s.first_token_s = -1.0;
-          s.prefix_hit = false;
-          retries.push_back(PendingRetry{now, s});
-          continue;
-        }
-        const long long delta =
-            std::max<long long>(0, s.kv_tokens() - h.snapshot_kv);
-        rep.overlap_decode_tokens += delta;
-        const double ready =
-            now + migration_link.p2p(static_cast<double>(delta) * stripe_bytes);
-        ++rep.migrations;
-        rep.migrated_kv_tokens += s.kv_tokens();
-        rep.migration_s.add(ready - h.drain_start);
-        rep.requests[id].migrated = true;
-        migrations.push_back(PendingMigration{ready, s, h.replica});
-      }
+      const long long delta =
+          std::max<long long>(0, s.kv_tokens() - h.snapshot_kv);
+      rep.overlap_decode_tokens += delta;
+      const double ready =
+          now + migration_link.p2p(static_cast<double>(delta) * stripe_bytes);
+      migrate(std::move(s), h.replica, h.drain_start, ready);
     }
 
     // --- 3g. finished KV migrations re-enter service elsewhere ---
-    {
-      std::vector<PendingMigration> due;
-      for (auto it = migrations.begin(); it != migrations.end();) {
-        if (it->ready_s <= now) {
-          due.push_back(*it);
-          it = migrations.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      std::stable_sort(due.begin(), due.end(),
-                       [](const PendingMigration& a, const PendingMigration& b) {
-                         return std::tie(a.ready_s, a.seq.request_id) <
-                                std::tie(b.ready_s, b.seq.request_id);
-                       });
-      for (auto& p : due) dispatch(std::move(p.seq), now);
+    for (auto& p : take_due(migrations, ready_of, id_of)) {
+      dispatch(std::move(p.seq), now);
     }
 
     // --- 3h. fresh arrivals (bounded-queue admission, then routing) ---
@@ -1202,7 +1103,7 @@ FleetReport FleetSimulator::run(const std::vector<FleetRequest>& trace) const {
            intake[next_arrival].arrival_s <= now) {
       Sequence s = intake[next_arrival++];
       const auto id = static_cast<std::size_t>(s.request_id);
-      if (cfg_.hedge.enabled && cfg_.hedge.sheddable &&
+      if (cfg_.hedge.enabled &&
           queued_total() >= cfg_.admission.queue_capacity) {
         // Queue full: shed waiting hedge copies before rejecting a
         // primary — insurance yields to real work.
@@ -1235,67 +1136,37 @@ FleetReport FleetSimulator::run(const std::vector<FleetRequest>& trace) const {
     }
 
     // --- 3i. due retries (already admitted; deterministic order) ---
-    {
-      std::vector<PendingRetry> due;
-      for (auto it = retries.begin(); it != retries.end();) {
-        if (it->ready_s <= now) {
-          due.push_back(*it);
-          it = retries.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      std::stable_sort(due.begin(), due.end(),
-                       [](const PendingRetry& a, const PendingRetry& b) {
-                         return std::tie(a.ready_s, a.seq.request_id) <
-                                std::tie(b.ready_s, b.seq.request_id);
-                       });
-      for (auto& p : due) dispatch(std::move(p.seq), now);
+    for (auto& p : take_due(retries, ready_of, id_of)) {
+      dispatch(std::move(p.seq), now);
     }
 
     // --- 3i'. requests stranded at a dead router fail over ---
-    {
-      std::vector<RouterPending> due;
-      for (auto it = router_pending.begin(); it != router_pending.end();) {
-        if (it->ready_s <= now) {
-          due.push_back(*it);
-          it = router_pending.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      std::stable_sort(due.begin(), due.end(),
-                       [](const RouterPending& a, const RouterPending& b) {
-                         return std::tie(a.ready_s, a.seq.request_id) <
-                                std::tie(b.ready_s, b.seq.request_id);
-                       });
-      for (auto& p : due) {
-        int rtr = plane.survivor(now);
-        if (rtr >= 0 && partitions && plane.router_fenced(rtr, now)) {
-          // The lowest live router has fenced itself off: fail over to a
-          // live router that is still admitting, if any.
-          rtr = -1;
-          for (int r = 0; r < cfg_.control.routers; ++r) {
-            if (plane.router_up(r, now) && !plane.router_fenced(r, now)) {
-              rtr = r;
-              break;
-            }
+    for (auto& p : take_due(router_pending, ready_of, id_of)) {
+      int rtr = plane.survivor(now);
+      if (rtr >= 0 && partitions && plane.router_fenced(rtr, now)) {
+        // The lowest live router has fenced itself off: fail over to a
+        // live router that is still admitting, if any.
+        rtr = -1;
+        for (int r = 0; r < cfg_.control.routers; ++r) {
+          if (plane.router_up(r, now) && !plane.router_fenced(r, now)) {
+            rtr = r;
+            break;
           }
         }
-        if (rtr < 0) {
-          // The whole front end is dark (or fenced): wait for a router to
-          // return or a partition edge to lift the fence.
-          double wake = plane.next_router_transition_after(now);
-          if (partitions) {
-            wake = std::min(wake, plane.next_partition_transition_after(now));
-          }
-          MIB_ENSURE(std::isfinite(wake),
-                     "every router dark with no recovery scheduled");
-          router_pending.push_back(RouterPending{wake, std::move(p.seq)});
-          continue;
-        }
-        dispatch_via(rtr, std::move(p.seq), now);
       }
+      if (rtr < 0) {
+        // The whole front end is dark (or fenced): wait for a router to
+        // return or a partition edge to lift the fence.
+        double wake = plane.next_router_transition_after(now);
+        if (partitions) {
+          wake = std::min(wake, plane.next_partition_transition_after(now));
+        }
+        MIB_ENSURE(std::isfinite(wake),
+                   "every router dark with no recovery scheduled");
+        router_pending.push_back(Pending{wake, std::move(p.seq)});
+        continue;
+      }
+      dispatch_via(rtr, std::move(p.seq), now);
     }
 
     // --- 3j. hedge triggers: re-issue stragglers to a second replica ---
@@ -1328,8 +1199,7 @@ FleetReport FleetSimulator::run(const std::vector<FleetRequest>& trace) const {
           continue;
         }
       }
-      if (cfg_.hedge.sheddable &&
-          queued_total() >= cfg_.admission.queue_capacity) {
+      if (queued_total() >= cfg_.admission.queue_capacity) {
         // A hedge is optional work: it respects admission capacity and is
         // refused outright when the fleet queue is already full.
         ++rep.hedges_shed;
@@ -1476,44 +1346,31 @@ FleetReport FleetSimulator::run(const std::vector<FleetRequest>& trace) const {
         }
         const int decision = scaler.decide(queued, n_active, any_idle);
         if (decision > 0) {
+          // Placement among eligible standbys (activation health-checks
+          // the standby: a probe, not routing): the one whose failure
+          // domain holds the fewest active replicas, so one rack or switch
+          // failure takes out as little of the fleet as possible; ties, and
+          // every pick without spread groups, go to the lowest index.
           int pick = -1;
-          if (cfg_.autoscaler.topology_aware && cfg_.topology.enabled()) {
-            // Spread placement: among eligible standbys pick the one whose
-            // failure domain holds the fewest active replicas, so one rack
-            // or switch failure takes out as little of the fleet as
-            // possible (ties break to the lowest index).
-            int best = pool + 1;
-            for (int i = 0; i < pool; ++i) {
-              const auto u = static_cast<std::size_t>(i);
-              if (!on_side(i) || active[u] || in_maint[u] ||
-                  !faults.up(i, now)) {
-                continue;
-              }
-              int in_group = 0;
-              if (!spread_group[u].empty()) {
-                for (int j = 0; j < pool; ++j) {
-                  const auto v = static_cast<std::size_t>(j);
-                  if (active[v] && !draining[v] &&
-                      spread_group[v] == spread_group[u]) {
-                    ++in_group;
-                  }
+          int best = pool + 1;
+          for (int i = 0; i < pool; ++i) {
+            const auto u = static_cast<std::size_t>(i);
+            if (!on_side(i) || active[u] || in_maint[u] || !faults.up(i, now)) {
+              continue;
+            }
+            int in_group = 0;
+            if (!spread_group[u].empty()) {
+              for (int j = 0; j < pool; ++j) {
+                const auto v = static_cast<std::size_t>(j);
+                if (active[v] && !draining[v] &&
+                    spread_group[v] == spread_group[u]) {
+                  ++in_group;
                 }
               }
-              if (in_group < best) {
-                best = in_group;
-                pick = i;
-              }
             }
-          } else {
-            for (int i = 0; i < pool; ++i) {
-              const auto u = static_cast<std::size_t>(i);
-              // Activation health-checks the standby (a probe, not
-              // routing).
-              if (on_side(i) && !active[u] && !in_maint[u] &&
-                  faults.up(i, now)) {
-                pick = i;
-                break;
-              }
+            if (in_group < best) {
+              best = in_group;
+              pick = i;
             }
           }
           if (pick >= 0) {

@@ -8,6 +8,10 @@
 // trigger at most ~5% of requests spawn a second copy, bounding the extra
 // load, while a straggling or silently-degraded replica is bypassed long
 // before the failure detector would flag it.
+//
+// A hedge is optional work: its copy respects admission capacity and is
+// the first load shed under overload, so primaries are never rejected to
+// make room for insurance.
 #pragma once
 
 #include <algorithm>
@@ -28,11 +32,6 @@ struct HedgeConfig {
   double min_delay_s = 0.02;
   /// Completed requests observed before adaptive hedging arms.
   int min_samples = 16;
-  /// true: hedge copies pass through the admission queue like everyone
-  /// else and are the first load shed under overload (a hedge is optional
-  /// work; primaries must not be rejected to make room for insurance).
-  /// false: hedges bypass admission entirely.
-  bool sheddable = true;
   /// Utilization gate (the other half of the tail-at-scale recipe): a
   /// hedge only fires while the fraction of in-service replicas that are
   /// busy is at or below this. Near saturation the extra copies stop —

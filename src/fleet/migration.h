@@ -19,24 +19,14 @@
 #pragma once
 
 #include "common/error.h"
+#include "fleet/faults.h"
 #include "hw/interconnect.h"
 
 namespace mib::fleet {
 
 /// One planned outage: replica unavailable for [start_s, end_s). Work is
 /// drained at start_s; the replica returns cold at end_s.
-struct MaintenanceWindow {
-  int replica = 0;
-  double start_s = 0.0;
-  double end_s = 0.0;
-
-  void validate() const {
-    MIB_ENSURE(replica >= 0, "maintenance window names a negative replica");
-    MIB_ENSURE(start_s >= 0.0, "maintenance window starts before t=0");
-    MIB_ENSURE(end_s > start_s,
-               "maintenance window must have positive duration");
-  }
-};
+using MaintenanceWindow = FaultWindow;
 
 struct MigrationConfig {
   /// true: ship KV to a peer and resume; false: evacuate-and-recompute

@@ -163,17 +163,9 @@ std::vector<DegradationWindow> expand_domain_degradations(
       base.push_back(DegradationWindow{r, e.start_s, e.end_s, e.scale});
     }
   }
-  for (std::size_t i = 0; i < base.size(); ++i) {
-    for (std::size_t j = i + 1; j < base.size(); ++j) {
-      const auto& a = base[i];
-      const auto& b = base[j];
-      if (a.replica != b.replica) continue;
-      MIB_ENSURE(a.end_s <= b.start_s || b.end_s <= a.start_s,
-                 "expanded degradation windows overlap for replica "
-                     << a.replica
-                     << " (a domain event collides with another window)");
-    }
-  }
+  // A domain event that collides with another window for one replica has
+  // no well-defined composition.
+  ensure_disjoint_windows(base, "expanded degradation windows for replica");
   return base;
 }
 

@@ -61,7 +61,7 @@ FleetConfig chaos_cfg(std::uint64_t seed) {
   fc.seed = seed;
   fc.replica.max_batch = 8;
   // Occasionally starve the queue — paired with aggressive hedging so the
-  // sheddable-hedge path is actually taken somewhere in the sweep.
+  // hedge-shedding path is actually taken somewhere in the sweep.
   const bool tight_queue = rng.bernoulli(0.25);
   fc.admission.queue_capacity = tight_queue ? 4 : 64;
   if (rng.bernoulli(0.3)) fc.admission.deadline_s = rng.uniform(0.5, 2.0);
@@ -72,7 +72,9 @@ FleetConfig chaos_cfg(std::uint64_t seed) {
   fc.hedge.delay_s = tight_queue ? rng.uniform(0.02, 0.08)
                      : rng.bernoulli(0.5) ? rng.uniform(0.05, 0.3)
                                           : 0.0;
-  fc.hedge.sheddable = tight_queue || rng.bernoulli(0.7);
+  // A retired draw, still consumed so that every later draw (and with it
+  // each seed's scenario) keeps its value.
+  if (!tight_queue) rng.bernoulli(0.7);
   fc.migration.migrate_kv = rng.bernoulli(0.5);
   fc.migration.stripe_links =
       1 + static_cast<int>(rng.uniform_index(4));  // 1..4 lanes

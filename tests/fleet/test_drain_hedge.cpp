@@ -1,5 +1,5 @@
-// PR 3 satellites: sheddable hedges under admission pressure, and drain KV
-// migration striped across links / overlapped with continued decode.
+// Hedges shed under admission pressure, and drain KV migration striped
+// across links / overlapped with continued decode.
 #include <gtest/gtest.h>
 
 #include "fleet/fleet.h"
@@ -56,30 +56,6 @@ TEST(SheddableHedge, HedgesAreShedFirstUnderOverload) {
   // A shed hedge never shows up as a lost/rejected *request* — the primary
   // copy still resolves it. Shedding is strictly cheaper than rejecting.
   EXPECT_GT(r.completed, 0);
-}
-
-TEST(SheddableHedge, OptOutRestoresBypassBehaviour) {
-  auto fc = hedge_cfg();
-  fc.hedge.sheddable = false;
-  const auto r = FleetSimulator(fc).run(uniform_trace(160, 200.0));
-  expect_conserved(r);
-  // PR 2 semantics: hedges bypass admission, so nothing is ever shed.
-  EXPECT_GT(r.hedges_issued, 0);
-  EXPECT_EQ(r.hedges_shed, 0);
-}
-
-TEST(SheddableHedge, ShedingSparesPrimaries) {
-  // Same overload, hedges sheddable vs bypassing: making hedges yield
-  // queue slots can only reduce primary rejections.
-  auto shed = hedge_cfg();
-  auto bypass = hedge_cfg();
-  bypass.hedge.sheddable = false;
-  const auto trace = uniform_trace(160, 200.0);
-  const auto rs = FleetSimulator(shed).run(trace);
-  const auto rb = FleetSimulator(bypass).run(trace);
-  expect_conserved(rs);
-  expect_conserved(rb);
-  EXPECT_LE(rs.rejected, rb.rejected + rs.hedges_shed);
 }
 
 TEST(SheddableHedge, AmpleCapacityShedsNothing) {
