@@ -1,5 +1,6 @@
 #include "fleet/control_plane.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/rng.h"
@@ -249,39 +250,35 @@ int ControlPlane::majority_survivor(double t) const {
   return -1;
 }
 
-double ControlPlane::next_partition_transition_after(double t) const {
-  if (!partition_enabled()) return std::numeric_limits<double>::infinity();
-  double best = next_edge_after(expanded_, t);
+std::vector<double> ControlPlane::partition_edges() const {
+  std::vector<double> edges;
+  if (!partition_enabled()) return edges;
   for (const auto& w : expanded_) {
+    edges.push_back(w.start_s);
+    edges.push_back(w.end_s);
     // The fence edge is an interior event (kFenceAfterGrace): the loop
     // must wake exactly when the minority's lease expires.
     const double fence = fence_time(w);
-    if (fence > t && fence < w.end_s) best = std::min(best, fence);
+    if (fence > w.start_s && fence < w.end_s) edges.push_back(fence);
   }
-  return best;
+  std::sort(edges.begin(), edges.end());
+  return edges;
 }
 
-void ControlPlane::sync(double now, const std::function<bool(int)>& live_ok) {
+void ControlPlane::sync(double now, const std::function<bool(int)>& live_ok,
+                        const std::function<void(int, double)>& rearmed) {
   for (int r = 0; r < cfg_.routers; ++r) {
     const auto u = static_cast<std::size_t>(r);
     if (frozen_view(r, now)) continue;  // cut off from the sync channel
     if (stale_views()) {
       if (next_sync_[u] > now) continue;
       while (next_sync_[u] <= now) next_sync_[u] += cfg_.view_sync_interval_s;
+      if (rearmed) rearmed(r, next_sync_[u]);
     }
     for (std::size_t i = 0; i < views_[u].size(); ++i) {
       views_[u][i] = live_ok(static_cast<int>(i)) ? 1 : 0;
     }
   }
-}
-
-double ControlPlane::next_sync_after(double t) const {
-  if (!stale_views()) return std::numeric_limits<double>::infinity();
-  double best = std::numeric_limits<double>::infinity();
-  for (double s : next_sync_) {
-    if (s > t) best = std::min(best, s);
-  }
-  return best;
 }
 
 void ControlPlane::accumulate_disagreement(double from, double to) {

@@ -67,6 +67,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "common/error.h"
@@ -219,9 +220,6 @@ class ControlPlane {
   }
   /// Lowest-index live router at t, or -1 when the whole plane is dark.
   int survivor(double t) const;
-  double next_router_transition_after(double t) const {
-    return schedule_.next_transition_after(t);
-  }
 
   /// Whether partitions are configured at all (windows may still be
   /// outside [0, makespan]). False keeps every partition path cold.
@@ -264,9 +262,10 @@ class ControlPlane {
   }
   /// Lowest-index live majority-side router at t, or -1.
   int majority_survivor(double t) const;
-  /// Earliest partition start/end/fence edge strictly after t, or
-  /// +infinity. Flap expansion makes every episode edge an event here.
-  double next_partition_transition_after(double t) const;
+  /// Every partition cut, heal and interior quorum-fence edge, ascending
+  /// (empty with partitions off). Flap expansion makes every episode edge
+  /// an edge here.
+  std::vector<double> partition_edges() const;
 
   /// Whether routers hold independently aging views (vs one live view).
   bool stale_views() const {
@@ -276,9 +275,14 @@ class ControlPlane {
   /// the sync interval is 0). `live_ok(i)` is the ground-truth breaker /
   /// oracle routability of replica i at `now`. Minority routers of an
   /// active partition are skipped — their views stay frozen at the cut.
-  void sync(double now, const std::function<bool(int)>& live_ok);
-  /// Earliest view-sync deadline strictly after t (+inf with live views).
-  double next_sync_after(double t) const;
+  /// `rearmed(r, t)`, when given, hears each router's new sync deadline.
+  void sync(double now, const std::function<bool(int)>& live_ok,
+            const std::function<void(int, double)>& rearmed = nullptr);
+  /// Router r's next view-sync deadline (+inf with live views).
+  double sync_deadline(int r) const {
+    return stale_views() ? next_sync_[static_cast<std::size_t>(r)]
+                         : std::numeric_limits<double>::infinity();
+  }
   /// Router `r`'s (possibly stale) belief that replica i is routable.
   bool view_ok(int router, int replica) const {
     return views_[static_cast<std::size_t>(router)]

@@ -78,11 +78,6 @@ class DegradationSchedule {
     return w != nullptr ? w->scale : PerfScale{};
   }
 
-  /// Earliest window edge strictly after t, or +infinity.
-  double next_transition_after(double t) const {
-    return next_edge_after(windows_, t);
-  }
-
   const std::vector<DegradationWindow>& windows() const { return windows_; }
 
  private:

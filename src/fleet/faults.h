@@ -11,7 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -36,7 +36,8 @@ struct FaultWindow {
 // router faults, brownouts, warm-up ramps) is a list of windows with
 // `replica`, `start_s` and `end_s`, disjoint per replica. The three
 // templates below are the one implementation of its validation, its
-// point query and its edge query.
+// point query and its edges, which the fleet loop's event calendar is
+// compiled from.
 
 /// Throws when two windows for the same replica overlap or duplicate each
 /// other (such schedules double-count transitions and make the evacuation
@@ -67,18 +68,21 @@ const W* window_at(const std::vector<W>& windows, int replica, double t) {
   return nullptr;
 }
 
-/// Earliest window edge (start or end) strictly after t, or +infinity.
+/// Every window edge (start and end) as (time, replica), in that order.
 template <typename W>
-double next_edge_after(const std::vector<W>& windows, double t) {
-  double best = std::numeric_limits<double>::infinity();
+std::vector<std::pair<double, int>> window_edges(
+    const std::vector<W>& windows) {
+  std::vector<std::pair<double, int>> edges;
+  edges.reserve(2 * windows.size());
   for (const auto& w : windows) {
-    if (w.start_s > t) best = std::min(best, w.start_s);
-    if (w.end_s > t) best = std::min(best, w.end_s);
+    edges.emplace_back(w.start_s, w.replica);
+    edges.emplace_back(w.end_s, w.replica);
   }
-  return best;
+  std::sort(edges.begin(), edges.end());
+  return edges;
 }
 
-/// Immutable outage schedule with point-in-time and next-transition queries.
+/// Immutable outage schedule with a point-in-time query.
 class FaultSchedule {
  public:
   explicit FaultSchedule(std::vector<FaultWindow> windows);
@@ -86,11 +90,6 @@ class FaultSchedule {
   /// Whether `replica` is in service at time t.
   bool up(int replica, double t) const {
     return window_at(windows_, replica, t) == nullptr;
-  }
-
-  /// Earliest window edge (start or end) strictly after t, or +infinity.
-  double next_transition_after(double t) const {
-    return next_edge_after(windows_, t);
   }
 
   const std::vector<FaultWindow>& windows() const { return windows_; }

@@ -1,5 +1,6 @@
 #include "fleet/health.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -70,33 +71,39 @@ std::vector<int> HealthMonitor::advance(
              "health probe vector does not match the pool");
   std::vector<int> opened;
   for (std::size_t i = 0; i < reps_.size(); ++i) {
-    auto& h = reps_[i];
     const int replica = static_cast<int>(i);
-    if (h.state == CircuitState::kClosed && t >= suspect_time(h)) {
-      h.state = CircuitState::kOpen;
-      h.opened_at_s = t;
+    if (advance(replica, t, physically_up[i])) opened.push_back(replica);
+  }
+  return opened;
+}
+
+bool HealthMonitor::advance(int replica, double t, bool physically_up) {
+  auto& h = reps_[static_cast<std::size_t>(replica)];
+  bool opened = false;
+  if (h.state == CircuitState::kClosed && t >= suspect_time(h)) {
+    h.state = CircuitState::kOpen;
+    h.opened_at_s = t;
+    events_.push_back(
+        CircuitEvent{t, replica, CircuitState::kOpen, physically_up});
+    opened = true;
+  }
+  if (h.state == CircuitState::kOpen &&
+      t >= h.opened_at_s + cfg_.open_cooldown_s) {
+    h.state = CircuitState::kHalfOpen;
+    h.next_probe_s = t;  // probe immediately, below
+    events_.push_back(
+        CircuitEvent{t, replica, CircuitState::kHalfOpen, physically_up});
+  }
+  // Probes fire at cadence until one lands; each miss reschedules. Runs
+  // in the same advance as the open -> half-open transition so every
+  // deadline left behind is strictly in the future.
+  while (h.state == CircuitState::kHalfOpen && t >= h.next_probe_s) {
+    if (physically_up) {
+      resume(replica, t);
       events_.push_back(
-          CircuitEvent{t, replica, CircuitState::kOpen, physically_up[i]});
-      opened.push_back(replica);
-    }
-    if (h.state == CircuitState::kOpen &&
-        t >= h.opened_at_s + cfg_.open_cooldown_s) {
-      h.state = CircuitState::kHalfOpen;
-      h.next_probe_s = t;  // probe immediately, below
-      events_.push_back(CircuitEvent{t, replica, CircuitState::kHalfOpen,
-                                     physically_up[i]});
-    }
-    // Probes fire at cadence until one lands; each miss reschedules. Runs
-    // in the same advance as the open -> half-open transition so every
-    // deadline left behind is strictly in the future.
-    while (h.state == CircuitState::kHalfOpen && t >= h.next_probe_s) {
-      if (physically_up[i]) {
-        resume(replica, t);
-        events_.push_back(CircuitEvent{t, replica, CircuitState::kClosed,
-                                       physically_up[i]});
-      } else {
-        h.next_probe_s += cfg_.probe_interval_s;
-      }
+          CircuitEvent{t, replica, CircuitState::kClosed, physically_up});
+    } else {
+      h.next_probe_s += cfg_.probe_interval_s;
     }
   }
   return opened;
@@ -144,22 +151,21 @@ std::vector<SuspicionBurst> detect_suspicion_bursts(
   return bursts;
 }
 
+double HealthMonitor::deadline(int replica) const {
+  const auto& h = reps_[static_cast<std::size_t>(replica)];
+  switch (h.state) {
+    case CircuitState::kClosed: return suspect_time(h);
+    case CircuitState::kOpen: return h.opened_at_s + cfg_.open_cooldown_s;
+    case CircuitState::kHalfOpen: return h.next_probe_s;
+    case CircuitState::kSuspended: break;
+  }
+  return kInf;
+}
+
 double HealthMonitor::next_event_after(double t) const {
   double best = kInf;
-  for (const auto& h : reps_) {
-    switch (h.state) {
-      case CircuitState::kClosed:
-        best = std::min(best, std::max(t, suspect_time(h)));
-        break;
-      case CircuitState::kOpen:
-        best = std::min(best, std::max(t, h.opened_at_s + cfg_.open_cooldown_s));
-        break;
-      case CircuitState::kHalfOpen:
-        best = std::min(best, std::max(t, h.next_probe_s));
-        break;
-      case CircuitState::kSuspended:
-        break;
-    }
+  for (std::size_t i = 0; i < reps_.size(); ++i) {
+    best = std::min(best, std::max(t, deadline(static_cast<int>(i))));
   }
   return best;
 }

@@ -88,14 +88,20 @@ class HealthMonitor {
   /// front-end obtains at probe cadence, not an oracle consulted freely).
   /// Returns replicas whose circuit opened at this step.
   std::vector<int> advance(double t, const std::vector<bool>& physically_up);
+  /// Advance one breaker to time t; returns whether its circuit opened.
+  /// Only a replica whose deadline() is at or before t can change.
+  bool advance(int replica, double t, bool physically_up);
 
   /// Administrative transitions (autoscaler activation / maintenance).
   void suspend(int replica);
   void resume(int replica, double t);
 
-  /// Earliest breaker deadline strictly relevant after t: a closed
-  /// circuit's projected phi crossing, an open circuit's cooldown expiry,
-  /// a half-open circuit's next probe. +infinity when idle.
+  /// The replica's breaker deadline: a closed circuit's projected phi
+  /// crossing, an open circuit's cooldown expiry, a half-open circuit's
+  /// next probe. +infinity while suspended.
+  double deadline(int replica) const;
+  /// Earliest breaker deadline over the pool, clamped to t. +infinity
+  /// when every replica is suspended.
   double next_event_after(double t) const;
 
   const std::vector<CircuitEvent>& events() const { return events_; }

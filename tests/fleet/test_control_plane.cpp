@@ -83,7 +83,9 @@ TEST(ControlPlane, WholePlaneDarkHasNoSurvivor) {
   cc.router_faults.push_back(RouterFaultWindow{0, 1.0, 2.0});
   const ControlPlane plane(cc, RoutePolicy::kLeastOutstanding, 7, 2);
   EXPECT_EQ(plane.survivor(1.5), -1);
-  EXPECT_DOUBLE_EQ(plane.next_router_transition_after(1.5), 2.0);
+  using Edges = std::vector<std::pair<double, int>>;
+  EXPECT_EQ(window_edges(plane.config().router_faults),
+            (Edges{{1.0, 0}, {2.0, 0}}));
 }
 
 TEST(ControlPlane, StaggeredSyncsAgeViewsIndependently) {
@@ -96,12 +98,20 @@ TEST(ControlPlane, StaggeredSyncsAgeViewsIndependently) {
   EXPECT_TRUE(plane.view_ok(0, 0));
   EXPECT_TRUE(plane.view_ok(1, 0));
   // First deadlines are staggered: router 0 at 0.2, router 1 at 0.4.
-  EXPECT_DOUBLE_EQ(plane.next_sync_after(0.0), 0.2);
-  // Replica 0 goes unroutable; only router 0's sync has fired by t=0.25.
-  plane.sync(0.25, [](int i) { return i != 0; });
+  EXPECT_DOUBLE_EQ(plane.sync_deadline(0), 0.2);
+  EXPECT_DOUBLE_EQ(plane.sync_deadline(1), 0.4);
+  // Replica 0 goes unroutable; only router 0's sync has fired by t=0.25,
+  // and only router 0 re-arms.
+  std::vector<std::pair<int, double>> rearmed;
+  plane.sync(0.25, [](int i) { return i != 0; },
+             [&](int r, double t) { rearmed.emplace_back(r, t); });
   EXPECT_FALSE(plane.view_ok(0, 0));
   EXPECT_TRUE(plane.view_ok(1, 0));  // stale — still believes replica 0
-  EXPECT_DOUBLE_EQ(plane.next_sync_after(0.25), 0.4);
+  ASSERT_EQ(rearmed.size(), 1u);
+  EXPECT_EQ(rearmed[0].first, 0);
+  EXPECT_DOUBLE_EQ(rearmed[0].second, 0.6);
+  EXPECT_DOUBLE_EQ(plane.sync_deadline(0), 0.6);
+  EXPECT_DOUBLE_EQ(plane.sync_deadline(1), 0.4);
   // The disagreement clock charges the window where views differ.
   plane.accumulate_disagreement(0.25, 0.4);
   EXPECT_DOUBLE_EQ(plane.disagreement_s(), 0.15);
@@ -116,8 +126,7 @@ TEST(ControlPlane, LiveViewSyncsEveryCall) {
   ControlPlane plane(ControlPlaneConfig{}, RoutePolicy::kLeastOutstanding, 7,
                      2);
   EXPECT_FALSE(plane.stale_views());
-  EXPECT_EQ(plane.next_sync_after(0.0),
-            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(plane.sync_deadline(0), std::numeric_limits<double>::infinity());
   plane.sync(0.1, [](int i) { return i != 1; });
   EXPECT_TRUE(plane.view_ok(0, 0));
   EXPECT_FALSE(plane.view_ok(0, 1));

@@ -21,10 +21,9 @@ TEST(FaultSchedule, UpAndTransitions) {
   EXPECT_FALSE(sched.up(1, 2.5));
   EXPECT_TRUE(sched.up(2, 1.5));    // no window -> always up
 
-  EXPECT_DOUBLE_EQ(sched.next_transition_after(0.0), 0.5);
-  EXPECT_DOUBLE_EQ(sched.next_transition_after(0.5), 1.0);
-  EXPECT_DOUBLE_EQ(sched.next_transition_after(2.5), 3.0);
-  EXPECT_TRUE(std::isinf(sched.next_transition_after(3.0)));
+  using Edges = std::vector<std::pair<double, int>>;
+  EXPECT_EQ(window_edges(sched.windows()),
+            (Edges{{0.5, 1}, {1.0, 0}, {2.0, 0}, {3.0, 1}}));
 }
 
 TEST(FaultWindowTest, Validation) {

@@ -387,6 +387,74 @@ FleetReport everything() {
   return FleetSimulator(fc).run(trace);
 }
 
+// Partitions with the autoscaler and detection on: a burst, a lull in
+// which the pool shrinks, a cut, then a second burst. The minority's view
+// freezes at the cut, so it records every breaker and pool change the
+// views have absorbed up to then, including the passes on which only a
+// heartbeat is due.
+FleetConfig autoscaled_partition(double cut_start, double cut_end) {
+  FleetConfig fc = partitioned(3, 3);
+  fc.autoscaler.enabled = true;
+  fc.autoscaler.min_replicas = 1;
+  fc.autoscaler.max_replicas = 3;
+  fc.autoscaler.interval_s = 0.1;
+  fc.autoscaler.scale_up_queue_depth = 4;
+  fc.control.partition.windows = {cut(cut_start, cut_end, {2}, {2})};
+  return fc;
+}
+
+FleetReport burst_lull_burst(const FleetConfig& fc) {
+  auto trace = uniform_trace(80, 100.0);
+  for (std::size_t i = 40; i < trace.size(); ++i) {
+    trace[i].request.arrival_s += 0.6;
+  }
+  return FleetSimulator(fc).run(trace);
+}
+
+FleetReport partition_autoscaled() {
+  return burst_lull_burst(autoscaled_partition(0.25, 0.75));
+}
+
+// The same at a 30 ms heartbeat, cut 10 ms after an autoscaler tick in the
+// lull and before the next heartbeat is due: the minority's frozen view
+// shows a pool change made at that tick only if a pass between the tick
+// and the cut refreshed it, so a pass that should not happen (a stale
+// breaker deadline waking the loop) shows here.
+FleetReport partition_autoscaled_hb30() {
+  FleetConfig fc = autoscaled_partition(0.71, 1.11);
+  fc.health.heartbeat_interval_s = 0.03;
+  return burst_lull_burst(fc);
+}
+
+// Detection edge cases on the autoscaled partition: a fault window that
+// starts at t = 0, a maintenance blip shorter than one heartbeat period
+// (the replica is suspended and resumed before its next heartbeat was
+// due), a brownout that stretches the minority replica's heartbeats
+// until just before the cut, hedging and a queueing deadline.
+FleetReport partition_detection_edges() {
+  FleetConfig fc = autoscaled_partition(0.558, 0.958);
+  fc.health.heartbeat_interval_s = 0.05;
+  fc.hedge.enabled = true;
+  fc.hedge.delay_s = 0.03;
+  fc.admission.deadline_s = 0.4;
+  fc.faults.push_back(FaultWindow{1, 0.0, 0.3});
+  fc.maintenance.push_back(MaintenanceWindow{0, 0.658, 0.668});
+  fc.degradations.push_back(
+      DegradationWindow{2, 0.258, 0.508, PerfScale{0.4, 0.4, 1.0}});
+  return burst_lull_burst(fc);
+}
+
+// A brownout stretches the minority replica's heartbeats shortly before
+// the cut, so the gap window the detector averages over when the silence
+// starts holds both cadences: the open time depends on its exact length.
+FleetReport partition_brownout_before_cut() {
+  FleetConfig fc = partitioned(3, 3);
+  fc.degradations.push_back(
+      DegradationWindow{2, 1.0, 1.2, PerfScale{0.4, 0.4, 1.0}});
+  fc.control.partition.windows = {cut(1.25, 1.7, {2}, {2})};
+  return FleetSimulator(fc).run(uniform_trace(150, 110.0));
+}
+
 // --- golden matrix ---
 
 struct Golden {
@@ -429,6 +497,14 @@ const Golden kMatrix[] = {
      150, 0x1.91743dbb963a3p+0, 0x1bb6f331e939f6b9ull},
     {"partition/quorum-fenced", [] { return partition("quorum"); },
      150, 0x1.96f0721509d85p+0, 0x350de709c4a1447bull},
+    {"partition/autoscaled", partition_autoscaled,
+     80, 0x1.c4c963ea41ebdp+0, 0x8bde92b123509e15ull},
+    {"partition/autoscaled/heartbeat-30ms", partition_autoscaled_hb30,
+     80, 0x1.c5cd62da7227fp+0, 0x40ae1cc7abeb4d91ull},
+    {"partition/detection-edges", partition_detection_edges,
+     74, 0x1.c4c963ea41ebdp+0, 0x5f8fb15153688377ull},
+    {"partition/brownout-before-cut", partition_brownout_before_cut,
+     150, 0x1.95ff069a0d24cp+0, 0xc23ad91503998db8ull},
     {"hedge/adaptive", hedge_adaptive,
      150, 0x1.8ce0d490ad283p+0, 0xf4130a6ac9260824ull},
     {"hedge/util-gate-0.5", hedge_util_gate,

@@ -193,10 +193,12 @@ TEST(GrayFailure, FlappingExpandsIntoDutyCycleEpisodes) {
   // on pointer identity).
   EXPECT_NE(plane.partition_at(1.1), plane.partition_at(1.5));
   // Every cut and heal edge drives the event loop.
-  EXPECT_DOUBLE_EQ(plane.next_partition_transition_after(1.0), 1.2);
-  EXPECT_DOUBLE_EQ(plane.next_partition_transition_after(1.2), 1.4);
-  EXPECT_DOUBLE_EQ(plane.next_partition_transition_after(1.9), 2.0);
-  EXPECT_TRUE(std::isinf(plane.next_partition_transition_after(2.0)));
+  const std::vector<double> edges = plane.partition_edges();
+  const std::vector<double> expected = {1.0, 1.2, 1.4, 1.6, 1.8, 2.0};
+  ASSERT_EQ(edges.size(), expected.size());
+  for (std::size_t k = 0; k < edges.size(); ++k) {
+    EXPECT_DOUBLE_EQ(edges[k], expected[k]);
+  }
 
   // duty == 1 or period == 0 degenerates to the single solid window.
   cc.partition.windows[0].flap_duty = 1.0;
@@ -243,7 +245,9 @@ TEST(GrayFailure, QuorumFencingFollowsRouterMajority) {
   EXPECT_FALSE(grace.router_fenced(1, 1.2));
   EXPECT_TRUE(grace.router_fenced(1, 1.3));
   // The lease expiry is an interior loop event.
-  EXPECT_DOUBLE_EQ(grace.next_partition_transition_after(1.0), 1.3);
+  const std::vector<double> edges = grace.partition_edges();
+  ASSERT_EQ(edges.size(), 3u);
+  EXPECT_DOUBLE_EQ(edges[1], 1.3);
   cc.partition.quorum = QuorumPolicy::kServeStale;
   const ControlPlane stale(cc, RoutePolicy::kLeastOutstanding, 7, 2);
   EXPECT_FALSE(stale.router_fenced(1, 1.5));

@@ -138,9 +138,7 @@ TEST(Partition, SideAssignmentAndReachability) {
   EXPECT_EQ(plane.survivor(1.5), 0);
   EXPECT_EQ(plane.majority_survivor(1.5), 0);
   // Transition edges drive the event loop.
-  EXPECT_DOUBLE_EQ(plane.next_partition_transition_after(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(plane.next_partition_transition_after(1.0), 2.0);
-  EXPECT_TRUE(std::isinf(plane.next_partition_transition_after(2.0)));
+  EXPECT_EQ(plane.partition_edges(), (std::vector<double>{1.0, 2.0}));
 }
 
 TEST(Partition, MajoritySurvivorRespectsRouterFaults) {
@@ -163,7 +161,7 @@ TEST(Partition, DisabledPlaneKeepsPathsCold) {
   EXPECT_EQ(plane.partition_at(1.0), nullptr);
   EXPECT_TRUE(plane.reachable(0, 1, 1.0));
   EXPECT_FALSE(plane.frozen_view(1, 1.0));
-  EXPECT_TRUE(std::isinf(plane.next_partition_transition_after(0.0)));
+  EXPECT_TRUE(plane.partition_edges().empty());
 }
 
 // --- split-brain end to end ---

@@ -175,9 +175,8 @@ TEST(Degradation, ScheduleAnswersPointAndTransitionQueries) {
   EXPECT_DOUBLE_EQ(sched.at(0, 1.5).flops, 0.5);
   EXPECT_FALSE(sched.at(0, 2.0).degraded());  // half-open interval
   EXPECT_FALSE(sched.at(1, 1.5).degraded());  // other replica untouched
-  EXPECT_DOUBLE_EQ(sched.next_transition_after(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(sched.next_transition_after(1.0), 2.0);
-  EXPECT_TRUE(std::isinf(sched.next_transition_after(2.0)));
+  using Edges = std::vector<std::pair<double, int>>;
+  EXPECT_EQ(window_edges(sched.windows()), (Edges{{1.0, 0}, {2.0, 0}}));
 }
 
 TEST(Degradation, WorstPicksTheTightestResource) {
