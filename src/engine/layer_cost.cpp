@@ -406,9 +406,9 @@ std::vector<OpRecord> LayerCostModel::profile_decode_step(int batch,
              "op profiles require pp == 1 (pipeline stretch has no per-op "
              "attribution)");
   TraceSink sink;
-  sink_ = &sink;
-  decode_step(batch, ctx);
-  sink_ = nullptr;
+  LayerCostModel traced = *this;
+  traced.sink_ = &sink;
+  traced.decode_step(batch, ctx);
   return finish_profile(sink);
 }
 
@@ -418,9 +418,9 @@ std::vector<OpRecord> LayerCostModel::profile_prefill(
              "op profiles require pp == 1 (pipeline stretch has no per-op "
              "attribution)");
   TraceSink sink;
-  sink_ = &sink;
-  prefill(batch, seq_len, images_per_request);
-  sink_ = nullptr;
+  LayerCostModel traced = *this;
+  traced.sink_ = &sink;
+  traced.prefill(batch, seq_len, images_per_request);
   return finish_profile(sink);
 }
 

@@ -118,7 +118,9 @@ class LayerCostModel {
   void charge_time(double& bucket, const char* name, double seconds) const;
   std::vector<OpRecord> finish_profile(TraceSink& sink) const;
 
-  mutable TraceSink* sink_ = nullptr;
+  /// Set only on the private copy a profile call prices with, so const
+  /// calls on a shared model never write through it.
+  TraceSink* sink_ = nullptr;
 
   models::ModelConfig model_;
   hw::Cluster cluster_;

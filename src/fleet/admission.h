@@ -27,36 +27,4 @@ struct AdmissionConfig {
   }
 };
 
-/// Counts the accept / reject / expire decisions of one fleet run.
-class AdmissionController {
- public:
-  explicit AdmissionController(AdmissionConfig cfg) : cfg_(cfg) {
-    cfg_.validate();
-  }
-
-  const AdmissionConfig& config() const { return cfg_; }
-
-  /// Gate a fresh arrival given the current fleet-wide queue depth.
-  bool try_admit(long long queued_now) {
-    if (queued_now >= cfg_.queue_capacity) {
-      ++rejected_;
-      return false;
-    }
-    ++accepted_;
-    return true;
-  }
-
-  void count_expired() { ++expired_; }
-
-  long long accepted() const { return accepted_; }
-  long long rejected() const { return rejected_; }
-  long long expired() const { return expired_; }
-
- private:
-  AdmissionConfig cfg_;
-  long long accepted_ = 0;
-  long long rejected_ = 0;
-  long long expired_ = 0;
-};
-
 }  // namespace mib::fleet

@@ -3,9 +3,8 @@
 // Every interval_s the fleet evaluates the total queued depth: above the
 // scale-up watermark an inactive replica is activated (cold: empty prefix
 // cache, so affinity re-warms); at or below the scale-down watermark an
-// active replica is put into draining — it finishes its in-flight work,
-// receives no new routing, and deactivates once empty. min/max bounds keep
-// the fleet inside its provisioned pool.
+// idle active replica (nothing queued or running) is deactivated at the
+// tick. min/max bounds keep the fleet inside its provisioned pool.
 #pragma once
 
 #include <string>
@@ -22,7 +21,7 @@ struct AutoscalerConfig {
   double interval_s = 2.0;
   /// Queued requests above which a replica is added.
   int scale_up_queue_depth = 8;
-  /// Queued requests at or below which an idle replica is drained.
+  /// Queued requests at or below which an idle replica is deactivated.
   int scale_down_queue_depth = 0;
   /// Placement: false picks the lowest-index inactive slot (in effect
   /// cloning the last placement); true spreads new replicas across

@@ -8,16 +8,6 @@ DegradationSchedule::DegradationSchedule(std::vector<DegradationWindow> windows)
   ensure_disjoint_windows(windows_, "degradation windows for replica");
 }
 
-DegradedCostPool::DegradedCostPool(
-    const engine::LayerCostModel* base, const engine::EngineConfig& cfg,
-    const std::vector<DegradationWindow>& windows)
-    : DegradedCostPool(base, cfg, [&windows] {
-        std::vector<PerfScale> scales;
-        scales.reserve(windows.size());
-        for (const auto& w : windows) scales.push_back(w.scale);
-        return scales;
-      }()) {}
-
 DegradedCostPool::DegradedCostPool(const engine::LayerCostModel* base,
                                    const engine::EngineConfig& cfg,
                                    const std::vector<PerfScale>& scales)

@@ -90,12 +90,8 @@ class DegradationSchedule {
 /// to the shared base model.
 class DegradedCostPool {
  public:
-  DegradedCostPool(const engine::LayerCostModel* base,
-                   const engine::EngineConfig& cfg,
-                   const std::vector<DegradationWindow>& windows);
-  /// Build models for an explicit scale set (lets the fleet pre-register
-  /// warm-up scales and brownout x warm-up products alongside the
-  /// scheduled windows).
+  /// Build one model per distinct degraded scale in `scales` (the fleet
+  /// passes scales_for() of its brownout and warm-up schedules).
   DegradedCostPool(const engine::LayerCostModel* base,
                    const engine::EngineConfig& cfg,
                    const std::vector<PerfScale>& scales);

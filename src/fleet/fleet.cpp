@@ -368,9 +368,9 @@ class FleetRun {
     std::sort(kick_.begin(), kick_.end());
     kick_.erase(std::unique(kick_.begin(), kick_.end()), kick_.end());
     for (int i : kick_) {
-      // A replica in maintenance normally sits dark — unless it is still
-      // overlap-draining, in which case it keeps decoding its running
-      // batch while the KV copies out behind it.
+      // A replica in maintenance normally sits dark — unless its overlap
+      // drain is still running, in which case it keeps decoding its
+      // running batch while the KV copies out behind it.
       Replica& r = reps[i];
       if (!active[i] || (in_maint[i] && !overlap_drain[i]) ||
           !faults.up(i, now) || r.mid_step()) {
@@ -385,7 +385,6 @@ class FleetRun {
           continue;
         }
         --copies[id];
-        admission.count_expired();
         record_terminal(s, RequestStatus::kExpired);
         ++rep.expired;
       }
@@ -396,14 +395,6 @@ class FleetRun {
       }
     }
     kick_.clear();
-    // Draining replicas deactivate once empty.
-    for (int i = 0; cfg_.autoscaler.enabled && i < pool; ++i) {
-      if (draining[i] && !reps[i].mid_step() && !reps[i].has_work()) {
-        draining[i] = false;
-        active[i] = false;
-        if (!oracle) suspend(i);
-      }
-    }
     // An overlap drain completes when the last sequence has cut over: the
     // source is empty, no snapshot copies are pending, and the node can
     // finally go down for its maintenance.
@@ -764,7 +755,7 @@ class FleetRun {
           }
         }
       }
-      if (!admission.try_admit(queued_total())) {
+      if (queued_total() >= cfg_.admission.queue_capacity) {
         record_terminal(s, RequestStatus::kRejected);
         ++rep.rejected;
         continue;
@@ -813,8 +804,7 @@ class FleetRun {
   // --- 3j. hedge triggers: re-issue stragglers to a second replica ---
   void on_hedges() {
     for (int id : due(K::kHedge)) {
-      if (done[id] || hedge_fired[id]) continue;
-      hedge_fired[id] = 1;
+      if (done[id]) continue;
       bool started = false;
       for (const auto& r : reps) started = started || r.started(id);
       if (started) continue;  // first token is out, nothing to hedge
@@ -826,7 +816,7 @@ class FleetRun {
         int in_service = 0;
         int busy = 0;
         for (int r = 0; r < pool; ++r) {
-          if (!active[r] || draining[r] || in_maint[r]) continue;
+          if (!active[r] || in_maint[r]) continue;
           ++in_service;
           if (reps[r].mid_step() || reps[r].has_work()) ++busy;
         }
@@ -954,16 +944,14 @@ class FleetRun {
   // --- 3k. autoscaler tick ---
   void on_autoscaler() {
     if (due(K::kAutoscale).empty()) return;
-    while (next_tick <= now) {
-      if (partitions && plane.partition_at(now) != nullptr) {
-        const int d_major = tick_side(0);
-        const int d_minor = tick_side(1);
-        if (d_major != d_minor) ++rep.autoscaler_conflicts;
-      } else {
-        tick_side(-1);
-      }
-      next_tick += cfg_.autoscaler.interval_s;
+    if (partitions && plane.partition_at(now) != nullptr) {
+      const int d_major = tick_side(0);
+      const int d_minor = tick_side(1);
+      if (d_major != d_minor) ++rep.autoscaler_conflicts;
+    } else {
+      tick_side(-1);
     }
+    next_tick += cfg_.autoscaler.interval_s;
     cal.push(next_tick, K::kAutoscale);
   }
 
@@ -981,7 +969,7 @@ class FleetRun {
     for (int i = 0; i < pool; ++i) {
       if (!on_side(i)) continue;
       queued += reps[i].queue_depth();
-      if (!active[i] || draining[i]) continue;
+      if (!active[i]) continue;
       ++n_active;
       if (!reps[i].mid_step() && !reps[i].has_work()) any_idle = true;
     }
@@ -1000,7 +988,7 @@ class FleetRun {
         }
         int in_group = 0;
         for (int j = 0; !spread_group[i].empty() && j < pool; ++j) {
-          if (active[j] && !draining[j] && spread_group[j] == spread_group[i]) {
+          if (active[j] && spread_group[j] == spread_group[i]) {
             ++in_group;
           }
         }
@@ -1018,9 +1006,12 @@ class FleetRun {
       }
     } else if (decision < 0) {
       for (int i = pool - 1; i >= 0; --i) {
-        if (on_side(i) && active[i] && !draining[i] && !reps[i].mid_step() &&
+        if (on_side(i) && active[i] && !reps[i].mid_step() &&
             !reps[i].has_work()) {
-          draining[i] = true;
+          // An idle replica leaves service at the tick: it has nothing in
+          // flight, and nothing routes to it before it is gone.
+          active[i] = false;
+          if (!oracle) suspend(i);
           rep.scale_events.push_back(
               ScaleEvent{now, "drain", i, queued, n_active - 1});
           break;
@@ -1066,14 +1057,13 @@ class FleetRun {
   // What router `rtr` believes is routable: its (possibly stale) breaker
   // view when views age independently, the live truth otherwise. A
   // partitioned minority router routes on the view frozen at the cut and
-  // can only reach replicas on its own side. The
-  // active/draining/maintenance gates are front-end-initiated state every
-  // router knows instantly.
+  // can only reach replicas on its own side. The active and maintenance
+  // gates are front-end-initiated state every router knows instantly.
   std::vector<int> routable_for(int rtr) const {
     std::vector<int> up;
     const bool frozen = partitions && plane.frozen_view(rtr, now);
     for (int i = 0; i < pool; ++i) {
-      if (!active[i] || draining[i] || in_maint[i]) continue;
+      if (!active[i] || in_maint[i]) continue;
       if (partitions && !plane.reachable(rtr, i, now)) continue;
       const bool ok = (plane.stale_views() || frozen) ? plane.view_ok(rtr, i)
                                                       : live_routable(i);
@@ -1457,7 +1447,7 @@ class FleetRun {
   const int pool = sim_.pool_size();
   const bool oracle = !cfg_.health.enabled;
   std::vector<Replica> reps;
-  std::vector<bool> active = flags(), draining = flags(), in_maint = flags();
+  std::vector<bool> active = flags(), in_maint = flags();
   const FaultSchedule faults{sim_.expanded_faults()};
   const FaultSchedule maint{cfg_.maintenance};
   const DegradationSchedule degr{sim_.expanded_degradations()};
@@ -1469,7 +1459,6 @@ class FleetRun {
   // Every split-brain path is gated on this: with no partition windows
   // configured none of them runs.
   const bool partitions = plane.partition_enabled();
-  AdmissionController admission{cfg_.admission};
   const Autoscaler scaler{cfg_.autoscaler};
   HealthMonitor monitor{cfg_.health, pool};
   HedgePlanner hedge{cfg_.hedge};
@@ -1505,7 +1494,6 @@ class FleetRun {
   // dispatch are the only ways it exceeds 1.
   std::vector<char> done = std::vector<char>(n, 0);
   std::vector<int> copies = std::vector<int>(n, 0);
-  std::vector<char> hedge_fired = std::vector<char>(n, 0);
 
   // Split-brain state: the client's retry patience arms a timer per
   // affected dispatch; when it fires with the partition still up and no

@@ -60,7 +60,9 @@ class HedgePlanner {
 
   const HedgeConfig& config() const { return cfg_; }
 
-  void observe_ttft(double s) { ttfts_.push_back(s); }
+  void observe_ttft(double s) {
+    ttfts_.insert(std::upper_bound(ttfts_.begin(), ttfts_.end(), s), s);
+  }
 
   /// Current trigger delay; +infinity while hedging is disabled or the
   /// adaptive trigger has not warmed up yet.
@@ -70,18 +72,15 @@ class HedgePlanner {
     if (static_cast<int>(ttfts_.size()) < cfg_.min_samples) {
       return std::numeric_limits<double>::infinity();
     }
-    // Nearest-rank percentile over a scratch copy; hedging decisions are
-    // rare (once per dispatch) and fleets are small, so O(n log n) here is
-    // noise next to step pricing.
-    std::vector<double> xs = ttfts_;
-    std::sort(xs.begin(), xs.end());
+    // Nearest-rank percentile.
     const auto rank = static_cast<std::size_t>(
-        static_cast<double>(xs.size() - 1) * cfg_.percentile / 100.0);
-    return std::max(xs[rank], cfg_.min_delay_s);
+        static_cast<double>(ttfts_.size() - 1) * cfg_.percentile / 100.0);
+    return std::max(ttfts_[rank], cfg_.min_delay_s);
   }
 
  private:
   HedgeConfig cfg_;
+  /// Observed TTFTs, ascending.
   std::vector<double> ttfts_;
 };
 

@@ -7,9 +7,9 @@
 //    spread at O(1) cost);
 //  - prefix-affinity: pin each conversation to the replica that holds its
 //    cached prefix, falling back to a deterministic least-loaded scan for
-//    new conversations or when the pinned replica is down/draining. Pins
-//    survive outages (the prefix may still be warm after recovery), the
-//    fallback routing is temporary.
+//    new conversations or when the pinned replica is down or out of
+//    service. Pins survive outages (the prefix may still be warm after
+//    recovery), the fallback routing is temporary.
 //
 // Routers never see the network directly: the fleet loop hands route()
 // a routable set already filtered through the control plane (breaker

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cmath>
 #include <numeric>
+#include <thread>
+#include <vector>
 
 #include "engine/layer_cost.h"
 #include "models/zoo.h"
@@ -117,6 +121,29 @@ TEST(Profile, ProfilingDoesNotPerturbNormalRuns) {
   lc.profile_decode_step(8, 1024);
   const double after = lc.decode_step(8, 1024).total();
   EXPECT_DOUBLE_EQ(before, after);
+}
+
+TEST(Profile, ConcurrentPricingLeavesProfilesExact) {
+  // One model shared across threads: pricers loop decode_step while this
+  // thread profiles. A profile must hold exactly its own step's ops, and
+  // the const pricing calls must not reach into the profile's sink.
+  const auto lc = make(models::olmoe_1b_7b());
+  const double total = lc.decode_step(16, 2048).total();
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> pricers;
+  for (int t = 0; t < 2; ++t) {
+    pricers.emplace_back([&lc, &stop] {
+      while (!stop.load()) lc.decode_step(4, 512);
+    });
+  }
+  int inexact = 0;
+  for (int k = 0; k < 2000; ++k) {
+    const double sum = total_of(lc.profile_decode_step(16, 2048));
+    if (std::abs(sum - total) > total * 1e-9) ++inexact;
+  }
+  stop = true;
+  for (auto& t : pricers) t.join();
+  EXPECT_EQ(inexact, 0);
 }
 
 TEST(Profile, FlopsAndBytesAggregated) {

@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
-"""Mutation score of the fleet and engine test suites.
+r"""Mutation score of the fleet and engine test suites.
 
     python3 tests/fleet/run_mutants.py [--work DIR] [--jobs N] [--only 1,4-6]
+    python3 tests/fleet/run_mutants.py --check
 
 Each row of tests/fleet/mutants.tsv (file, original text, replacement) is
-one one-line mutant. The script copies the source tree into a work
+one mutant. A `\n` in a cell stands for a line break, so a row can take in
+the next line where its own line occurs more than once. `--check` only
+verifies, without building, that each row's original text occurs exactly
+once in the checkout. Otherwise the script copies the source tree into a work
 directory once, builds `mib_test_fleet` and `mib_test_engine` there, and
 checks that both pass unmutated. Then, one mutant at a time, it replaces
 the original text (which must occur exactly once in its file), rebuilds
@@ -13,8 +17,8 @@ the two test binaries incrementally, runs them, and restores the file.
 A mutant is killed when either binary fails or exceeds --timeout seconds,
 and survives when both pass. A mutant that does not compile is reported
 as such and left out of the score. The checkout itself is never modified.
-It takes about a minute per mutant on 4 cores, so it is not part of ctest
-or CI.
+It takes about a minute per mutant on 4 cores, so only `--check` runs in
+CI.
 """
 import argparse
 import csv
@@ -35,6 +39,24 @@ def index_list(text, n):
         lo, _, hi = part.partition("-")
         picked.update(range(int(lo), int(hi or lo) + 1))
     return [i for i in range(1, n + 1) if i in picked]
+
+
+def load_rows(path):
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f, delimiter="\t", quoting=csv.QUOTE_NONE))
+    for row in rows:
+        for key in ("original", "replacement"):
+            row[key] = row[key].replace("\\n", "\n")
+    return rows
+
+
+def misplaced(i, row, text):
+    """Why mutant i cannot apply to `text`, its file's contents, or None."""
+    count = text.count(row["original"])
+    if count == 1:
+        return None
+    return "mutant %d: original text occurs %d times in %s" % (
+        i, count, row["file"])
 
 
 def build(build_dir, jobs):
@@ -69,12 +91,25 @@ def main():
     ap.add_argument("--jobs", type=int, default=2)
     ap.add_argument("--timeout", type=float, default=120.0)
     ap.add_argument("--only", help="1-based mutant rows to run, e.g. 1,4-6")
+    ap.add_argument("--check", action="store_true",
+                    help="only check that each original occurs exactly once")
     args = ap.parse_args()
 
-    with open(args.mutants, newline="") as f:
-        rows = list(csv.DictReader(f, delimiter="\t", quoting=csv.QUOTE_NONE))
+    rows = load_rows(args.mutants)
     picked = index_list(args.only, len(rows)) if args.only else \
         list(range(1, len(rows) + 1))
+
+    if args.check:
+        bad = 0
+        for i in picked:
+            with open(os.path.join(ROOT, rows[i - 1]["file"])) as f:
+                why = misplaced(i, rows[i - 1], f.read())
+            if why:
+                bad += 1
+                print(why, file=sys.stderr)
+        print("%d of %d mutant originals occur exactly once" %
+              (len(picked) - bad, len(picked)))
+        return 1 if bad else 0
 
     work = args.work or tempfile.mkdtemp(prefix="mib-mutants-")
     tree = os.path.join(work, "tree")
@@ -99,10 +134,9 @@ def main():
         path = os.path.join(tree, row["file"])
         with open(path) as f:
             original = f.read()
-        count = original.count(row["original"])
-        if count != 1:
-            print("mutant %d: original text occurs %d times in %s" %
-                  (i, count, row["file"]), file=sys.stderr)
+        why = misplaced(i, row, original)
+        if why:
+            print(why, file=sys.stderr)
             return 1
         with open(path, "w") as f:
             f.write(original.replace(row["original"], row["replacement"]))
