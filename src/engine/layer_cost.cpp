@@ -68,45 +68,66 @@ double LayerCostModel::vision_encode_time(int images) const {
   return c.total() + preprocess;
 }
 
-void LayerCostModel::add_attention_cost(double tokens, int batch, double ctx,
-                                        bool prefill,
-                                        PhaseBreakdown& out) const {
-  const double h = model_.hidden;
-  const int tp = plan_.tp;
-  const double attn_params = models::attention_params_per_layer(model_);
-
+hw::KernelCost LayerCostModel::attention_proj(double tokens) const {
   // Q/K/V/O projections as one GEMM of the aggregate parameter volume.
-  hw::KernelCost proj = kernel_.gemm(
-      tokens, attn_params / (tp * h), h, cost_.act_dtype, cost_.weight_dtype);
+  const double h = model_.hidden;
+  const double attn_params = models::attention_params_per_layer(model_);
+  hw::KernelCost proj = kernel_.gemm(tokens, attn_params / (plan_.tp * h), h,
+                                     cost_.act_dtype, cost_.weight_dtype);
   proj.launch_s += 3.0 * kernel_.device().kernel_launch_overhead;
-  charge(out.attention, "attn.qkvo_proj", proj);
+  return proj;
+}
 
-  const double heads_shard =
-      std::max(1.0, static_cast<double>(model_.n_heads) / tp);
-  if (prefill) {
-    const double seq = tokens / batch;
-    charge(out.attention, "attn.flash_prefill",
-           kernel_.attention_prefill(batch, seq, heads_shard,
-                                     model_.head_dim, cost_.act_dtype));
-  } else {
-    const double kv_per_layer =
-        model_.kv_bytes_per_token_per_layer(cost_.kv_dtype);
-    const double kv_read =
-        batch * ctx * kv_per_layer / kv_shard(model_, plan_);
-    charge(out.attention, "attn.paged_decode",
-           kernel_.attention_decode(batch, ctx, heads_shard, model_.head_dim,
-                                    kv_read, cost_.act_dtype));
-  }
-
+hw::KernelCost LayerCostModel::attention_norm(double tokens) const {
   // Norms, RoPE, residual adds.
-  charge(out.attention, "attn.norm_rope_residual",
-         kernel_.elementwise(tokens * h, 4.0, 2.0, cost_.act_dtype));
+  return kernel_.elementwise(tokens * model_.hidden, 4.0, 2.0,
+                             cost_.act_dtype);
+}
 
+double LayerCostModel::heads_shard() const {
+  return std::max(1.0, static_cast<double>(model_.n_heads) / plan_.tp);
+}
+
+hw::KernelCost LayerCostModel::paged_decode(int batch, double ctx) const {
+  const double kv_per_layer =
+      model_.kv_bytes_per_token_per_layer(cost_.kv_dtype);
+  const double kv_read = batch * ctx * kv_per_layer / kv_shard(model_, plan_);
+  return kernel_.attention_decode(batch, ctx, heads_shard(), model_.head_dim,
+                                  kv_read, cost_.act_dtype);
+}
+
+void LayerCostModel::add_attention_allreduce(double tokens,
+                                             double& comm) const {
+  const int tp = plan_.tp;
   if (tp > 1) {
     const auto& ic = cluster_.interconnect_for_group(tp);
-    charge_time(out.comm, "comm.attn_allreduce",
-                ic.allreduce(tokens * h * bytes_of(cost_.act_dtype), tp));
+    charge_time(comm, "comm.attn_allreduce",
+                ic.allreduce(tokens * model_.hidden * bytes_of(cost_.act_dtype),
+                             tp));
   }
+}
+
+PhaseBreakdown LayerCostModel::sum_layers(double tokens,
+                                          const PhaseBreakdown& attn) const {
+  const int n_dense_layers = model_.dense_layers();
+  PhaseBreakdown moe_layer_cost = attn;
+  PhaseBreakdown dense_layer_cost = attn;  // attention identical
+  if (sink_) sink_->multiplier = model_.moe_layers();
+  if (model_.is_moe()) add_ffn_cost(tokens, true, moe_layer_cost);
+  if (sink_) sink_->multiplier = n_dense_layers;
+  if (n_dense_layers > 0) add_ffn_cost(tokens, false, dense_layer_cost);
+  if (sink_) sink_->multiplier = 1.0;
+
+  PhaseBreakdown out;
+  auto accumulate = [&](const PhaseBreakdown& src, int times) {
+    out.attention += src.attention * times;
+    out.ffn += src.ffn * times;
+    out.router += src.router * times;
+    out.comm += src.comm * times;
+  };
+  if (model_.is_moe()) accumulate(moe_layer_cost, model_.moe_layers());
+  if (n_dense_layers > 0) accumulate(dense_layer_cost, n_dense_layers);
+  return out;
 }
 
 void LayerCostModel::add_ffn_cost(double tokens, bool moe_layer,
@@ -211,41 +232,29 @@ void LayerCostModel::add_ffn_cost(double tokens, bool moe_layer,
   }
 }
 
-PhaseBreakdown LayerCostModel::decode_step(int batch, double ctx) const {
+LayerCostModel::DecodeParts LayerCostModel::decode_parts(int batch) const {
   MIB_ENSURE(batch >= 1, "batch must be >= 1");
-  MIB_ENSURE(ctx >= 1.0, "context must be >= 1");
   const double h = model_.hidden;
   const int tp = plan_.tp;
   const double act_b = bytes_of(cost_.act_dtype);
   const double tokens = batch;
 
-  const int n_dense_layers = model_.dense_layers();
-  PhaseBreakdown moe_layer_cost;
+  // Attention of one layer around its paged core, which decode_step adds.
+  DecodeParts parts;
+  PhaseBreakdown attn;
   if (sink_) sink_->multiplier = model_.n_layers;  // attention: all layers
-  add_attention_cost(tokens, batch, ctx, /*prefill=*/false, moe_layer_cost);
-  PhaseBreakdown dense_layer_cost = moe_layer_cost;  // attention identical
-  if (sink_) sink_->multiplier = model_.moe_layers();
-  if (model_.is_moe()) add_ffn_cost(tokens, true, moe_layer_cost);
-  if (sink_) sink_->multiplier = n_dense_layers;
-  if (n_dense_layers > 0) add_ffn_cost(tokens, false, dense_layer_cost);
-  if (sink_) sink_->multiplier = 1.0;
-
-  PhaseBreakdown out;
-  auto accumulate = [&](const PhaseBreakdown& src, int times) {
-    out.attention += src.attention * times;
-    out.ffn += src.ffn * times;
-    out.router += src.router * times;
-    out.comm += src.comm * times;
-  };
-  if (model_.is_moe()) accumulate(moe_layer_cost, model_.moe_layers());
-  if (n_dense_layers > 0) accumulate(dense_layer_cost, n_dense_layers);
+  charge(parts.qkvo_proj, "attn.qkvo_proj", attention_proj(tokens));
+  charge(parts.norm_rope_residual, "attn.norm_rope_residual",
+         attention_norm(tokens));
+  add_attention_allreduce(tokens, attn.comm);
+  PhaseBreakdown out = sum_layers(tokens, attn);
 
   // Embedding gather + KV append.
   charge(out.head, "embed.gather", kernel_.memcpy_op(tokens * h * act_b));
   const double kv_write =
       tokens * model_.kv_bytes_per_token_per_layer(cost_.kv_dtype) *
       model_.n_layers / plan_.devices();
-  charge(out.attention, "attn.kv_append", kernel_.memcpy_op(kv_write));
+  charge(parts.kv_append, "attn.kv_append", kernel_.memcpy_op(kv_write));
 
   // LM head (vocab-sharded) + logits allgather.
   charge(out.head, "head.lm_gemm",
@@ -267,8 +276,41 @@ PhaseBreakdown LayerCostModel::decode_step(int batch, double ctx) const {
 
   charge_time(out.overhead, "step.framework_overhead",
               kernel_.device().step_overhead);
+  parts.ffn = out.ffn;
+  parts.router = out.router;
+  parts.comm = out.comm;
+  parts.head = out.head;
+  parts.overhead = out.overhead;
+  return parts;
+}
+
+PhaseBreakdown LayerCostModel::decode_step(const DecodeParts& parts,
+                                           int batch, double ctx) const {
+  MIB_ENSURE(ctx >= 1.0, "context must be >= 1");
+  double core = 0.0;
+  if (sink_) sink_->multiplier = model_.n_layers;
+  charge(core, "attn.paged_decode", paged_decode(batch, ctx));
+  if (sink_) sink_->multiplier = 1.0;
+  // One layer's attention, summed in the order its charges are made.
+  const double layer = (parts.qkvo_proj + core) + parts.norm_rope_residual;
+
+  PhaseBreakdown out;
+  if (model_.is_moe()) out.attention += layer * model_.moe_layers();
+  if (model_.dense_layers() > 0) {
+    out.attention += layer * model_.dense_layers();
+  }
+  out.attention += parts.kv_append;
+  out.ffn = parts.ffn;
+  out.router = parts.router;
+  out.comm = parts.comm;
+  out.head = parts.head;
+  out.overhead = parts.overhead;
   apply_sw_efficiency(out);
   return out;
+}
+
+PhaseBreakdown LayerCostModel::decode_step(int batch, double ctx) const {
+  return decode_step(decode_parts(batch), batch, ctx);
 }
 
 PhaseBreakdown LayerCostModel::prefill(int batch, int seq_len,
@@ -280,27 +322,15 @@ PhaseBreakdown LayerCostModel::prefill(int batch, int seq_len,
   const int tp = plan_.tp;
   const double act_b = bytes_of(cost_.act_dtype);
 
-  const int n_dense_layers = model_.dense_layers();
-  PhaseBreakdown moe_layer_cost;
+  PhaseBreakdown attn;
   if (sink_) sink_->multiplier = model_.n_layers;
-  add_attention_cost(tokens, batch, seq_eff, /*prefill=*/true,
-                     moe_layer_cost);
-  PhaseBreakdown dense_layer_cost = moe_layer_cost;
-  if (sink_) sink_->multiplier = model_.moe_layers();
-  if (model_.is_moe()) add_ffn_cost(tokens, true, moe_layer_cost);
-  if (sink_) sink_->multiplier = n_dense_layers;
-  if (n_dense_layers > 0) add_ffn_cost(tokens, false, dense_layer_cost);
-  if (sink_) sink_->multiplier = 1.0;
-
-  PhaseBreakdown layers;
-  auto accumulate = [&](const PhaseBreakdown& src, int times) {
-    layers.attention += src.attention * times;
-    layers.ffn += src.ffn * times;
-    layers.router += src.router * times;
-    layers.comm += src.comm * times;
-  };
-  if (model_.is_moe()) accumulate(moe_layer_cost, model_.moe_layers());
-  if (n_dense_layers > 0) accumulate(dense_layer_cost, n_dense_layers);
+  charge(attn.attention, "attn.qkvo_proj", attention_proj(tokens));
+  charge(attn.attention, "attn.flash_prefill",
+         kernel_.attention_prefill(batch, seq_eff, heads_shard(),
+                                   model_.head_dim, cost_.act_dtype));
+  charge(attn.attention, "attn.norm_rope_residual", attention_norm(tokens));
+  add_attention_allreduce(tokens, attn.comm);
+  const PhaseBreakdown layers = sum_layers(tokens, attn);
 
   PhaseBreakdown out = layers;
   if (plan_.pp > 1) {

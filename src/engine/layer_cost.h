@@ -5,6 +5,14 @@
 // paper's optimization studies act here: dtype changes the roofline, Fused
 // MoE changes launch counts and activation round-trips, pruning changes the
 // geometry, EP changes collectives and adds the slowest-device penalty.
+//
+// Of a decode step's charges only the paged attention core depends on the
+// context length. decode_parts(batch) returns the rest, and
+// decode_step(parts, batch, ctx) adds the core back in the order
+// decode_step(batch, ctx) sums it; the latter is built from the same two
+// calls, so a caller that keeps the parts of a batch (each engine Replica
+// does) prices every step bit-identically. The model itself stays
+// stateless: it caches nothing, and const calls never write.
 #pragma once
 
 #include <string>
@@ -77,8 +85,30 @@ class LayerCostModel {
   PhaseBreakdown prefill(int batch, int seq_len,
                          int images_per_request = 0) const;
 
+  /// The charges of one decode step that depend on `batch` alone, before
+  /// the software-efficiency factor: every bucket but attention, and of
+  /// attention the per-layer projections and norms and the KV append.
+  /// Only the paged attention core reads the context length.
+  struct DecodeParts {
+    double qkvo_proj = 0.0;           ///< one layer's Q/K/V/O projections
+    double norm_rope_residual = 0.0;  ///< one layer's norms, RoPE, residuals
+    double kv_append = 0.0;           ///< KV write of all layers
+    double ffn = 0.0;
+    double router = 0.0;
+    double comm = 0.0;
+    double head = 0.0;
+    double overhead = 0.0;
+  };
+  DecodeParts decode_parts(int batch) const;
+
   /// One decode step for `batch` sequences at context length `ctx`.
   PhaseBreakdown decode_step(int batch, double ctx) const;
+
+  /// The same step from `decode_parts(batch)`: adds the paged attention
+  /// core at `ctx` in the order decode_step(batch, ctx) sums it, so a
+  /// caller that keeps the parts of a batch gets bit-identical totals.
+  PhaseBreakdown decode_step(const DecodeParts& parts, int batch,
+                             double ctx) const;
 
   /// Effective prompt length including vision tokens.
   int effective_prompt_tokens(int seq_len, int images_per_request) const;
@@ -100,9 +130,18 @@ class LayerCostModel {
   /// `decode_assignments` — routed expert draws for coverage statistics.
   void add_ffn_cost(double tokens, bool moe_layer, PhaseBreakdown& out) const;
 
-  /// Attention projections + core for one layer.
-  void add_attention_cost(double tokens, int batch, double ctx, bool prefill,
-                          PhaseBreakdown& out) const;
+  /// Attention of one layer: Q/K/V/O projections, norms/RoPE/residuals,
+  /// the paged decode core, and the TP allreduce charged into `comm`.
+  hw::KernelCost attention_proj(double tokens) const;
+  hw::KernelCost attention_norm(double tokens) const;
+  hw::KernelCost paged_decode(int batch, double ctx) const;
+  void add_attention_allreduce(double tokens, double& comm) const;
+  /// Attention heads per TP rank.
+  double heads_shard() const;
+
+  /// Every layer of one pass: `attn` is one layer's attention, charged
+  /// for all layers; adds each layer kind's FFN and sums over the layers.
+  PhaseBreakdown sum_layers(double tokens, const PhaseBreakdown& attn) const;
 
   /// Divide kernel-time components by the model's software efficiency.
   void apply_sw_efficiency(PhaseBreakdown& out) const;

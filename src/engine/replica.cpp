@@ -1,7 +1,9 @@
 #include "engine/replica.h"
 
 #include <algorithm>
+#include <cmath>
 #include <iterator>
+#include <limits>
 #include <tuple>
 
 #include "common/error.h"
@@ -110,6 +112,40 @@ long long Replica::kv_in_use() const {
   return used;
 }
 
+Replica::StepPrices& Replica::prices() {
+  for (auto& p : prices_) {
+    if (p.model == cost_) return p;
+  }
+  prices_.push_back(StepPrices{cost_, {}, {}});
+  return prices_.back();
+}
+
+const LayerCostModel::DecodeParts& Replica::StepPrices::decode_parts(
+    int batch) {
+  const auto i = static_cast<std::size_t>(batch - 1);
+  if (i >= decode.size()) {
+    LayerCostModel::DecodeParts unpriced;
+    unpriced.qkvo_proj = std::numeric_limits<double>::quiet_NaN();
+    decode.resize(i + 1, unpriced);
+  }
+  if (std::isnan(decode[i].qkvo_proj)) decode[i] = model->decode_parts(batch);
+  return decode[i];
+}
+
+const Replica::StepPrices::Prefill& Replica::StepPrices::prefill_price(
+    int tokens) {
+  auto it = std::lower_bound(
+      prefill.begin(), prefill.end(), tokens,
+      [](const Prefill& p, int t) { return p.tokens < t; });
+  if (it == prefill.end() || it->tokens != tokens) {
+    const auto pf = model->prefill(1, tokens);
+    it = prefill.insert(
+        it, Prefill{tokens, pf.total() - pf.head - pf.overhead,
+                    pf.head + pf.overhead});
+  }
+  return *it;
+}
+
 void Replica::touch_prefix(std::uint64_t hash) {
   if (hash == 0 || cfg_.prefix_cache_entries == 0) return;
   prefix_cache_[hash] = ++prefix_tick_;
@@ -139,6 +175,7 @@ std::vector<Sequence> Replica::drop_expired(double now) {
 void Replica::admit() {
   // Gang batching drains the running batch before admitting again.
   if (!cfg_.continuous_batching && !running_.empty()) return;
+  long long kv_used = kv_in_use();
   while (!waiting_.empty() &&
          static_cast<int>(running_.size()) < cfg_.max_batch) {
     if (cfg_.policy == QueuePolicy::kShortestFirst) {
@@ -157,7 +194,7 @@ void Replica::admit() {
     // whichever is larger, its resident state or its full prompt.
     const long long need =
         std::max<long long>(head.input_tokens, head.kv_tokens());
-    if (kv_in_use() + need > kv_capacity_) break;
+    if (kv_used + need > kv_capacity_) break;
     Sequence s = head;
     waiting_.pop_front();
     // Prefix-cache lookup happens when service starts: a warm conversation
@@ -173,6 +210,7 @@ void Replica::admit() {
         touch_prefix(s.prefix_hash);
       }
     }
+    kv_used += s.kv_tokens();
     running_.push_back(s);
   }
 }
@@ -211,14 +249,16 @@ void Replica::begin_step(double now) {
   for (;;) {
     decode_batch = 0;
     ctx_sum = 0.0;
+    long long kv_used = 0;
     for (const auto& s : running_) {
+      kv_used += s.kv_tokens();
       if (s.prefill_done()) {
         ++decode_batch;
         ctx_sum += static_cast<double>(s.kv_tokens());
       }
     }
     // Decode grows every finished context by one token this step.
-    if (kv_in_use() + decode_batch > kv_capacity_ && running_.size() > 1) {
+    if (kv_used + decode_batch > kv_capacity_ && running_.size() > 1) {
       preempt_youngest();
       continue;
     }
@@ -228,8 +268,9 @@ void Replica::begin_step(double now) {
     for (auto& s : running_) {
       if (s.prefill_done() || budget <= 0) continue;
       const int chunk = std::min(budget, s.input_tokens - s.prefilled);
-      if (kv_in_use() + chunk <= kv_capacity_) {
+      if (kv_used + chunk <= kv_capacity_) {
         s.prefilled += chunk;
+        kv_used += chunk;
         budget -= chunk;
         prefill_tokens += chunk;
       }
@@ -248,16 +289,19 @@ void Replica::begin_step(double now) {
 
   // The LM head and per-step overhead are charged once per engine step,
   // not once per phase.
+  StepPrices& memo = prices();
   double step_time = 0.0;
   if (decode_batch > 0) {
     const double avg_ctx =
         std::max(1.0, ctx_sum / static_cast<double>(decode_batch));
-    step_time += cost_->decode_step(decode_batch, avg_ctx).total();
+    step_time += cost_->decode_step(memo.decode_parts(decode_batch),
+                                    decode_batch, avg_ctx)
+                     .total();
   }
   if (prefill_tokens > 0) {
-    const auto pf = cost_->prefill(1, prefill_tokens);
-    step_time += pf.total() - pf.head - pf.overhead;
-    if (decode_batch == 0) step_time += pf.head + pf.overhead;
+    const auto& pf = memo.prefill_price(prefill_tokens);
+    step_time += pf.body;
+    if (decode_batch == 0) step_time += pf.head_overhead;
   }
   MIB_ENSURE(step_time > 0.0, "zero-cost step");
 

@@ -13,6 +13,15 @@
 // prefix cache: a conversation whose earlier turn completed here skips its
 // warm prefix during prefill, which is what session-affinity routing
 // monetizes.
+//
+// Step prices are memoized per replica: the context-free parts of a decode
+// step per batch size (LayerCostModel::decode_parts) and the split price of
+// each prefill chunk size, so a step recomputes only its paged attention
+// core. The memo is exact (every step costs bit-for-bit what a fresh
+// reprice would) and is keyed on the pricing model, since degradation and
+// warm-up edges swap models and a swap back finds its entries filled. It
+// lives and dies with the replica, so nothing carries from one run to the
+// next.
 #pragma once
 
 #include <cstdint>
@@ -164,11 +173,34 @@ class Replica {
   long long prefix_hits() const { return prefix_hits_; }
 
  private:
+  /// Step prices this replica has computed with one pricing model.
+  struct StepPrices {
+    /// Prefill chunk price split as the step composes it: the body, and
+    /// the LM head + per-step overhead a decode batch already pays.
+    struct Prefill {
+      int tokens;
+      double body;
+      double head_overhead;
+    };
+    const LayerCostModel* model;
+    /// Indexed by batch - 1, grown to the largest batch seen; unpriced
+    /// entries hold NaN.
+    std::vector<LayerCostModel::DecodeParts> decode;
+    /// Sorted by tokens; holds only the chunk sizes seen.
+    std::vector<Prefill> prefill;
+
+    const LayerCostModel::DecodeParts& decode_parts(int batch);
+    const Prefill& prefill_price(int tokens);
+  };
+
   void admit();
   long long kv_in_use() const;
   void touch_prefix(std::uint64_t hash);
+  StepPrices& prices();
 
   const LayerCostModel* cost_;
+  /// One entry per pricing model this replica has stepped with.
+  std::vector<StepPrices> prices_;
   long long kv_capacity_;
   ReplicaConfig cfg_;
 

@@ -15,7 +15,9 @@
 #pragma once
 
 #include <algorithm>
+#include <functional>
 #include <limits>
+#include <queue>
 #include <vector>
 
 #include "common/error.h"
@@ -61,7 +63,22 @@ class HedgePlanner {
   const HedgeConfig& config() const { return cfg_; }
 
   void observe_ttft(double s) {
-    ttfts_.insert(std::upper_bound(ttfts_.begin(), ttfts_.end(), s), s);
+    // Only the adaptive trigger reads the samples.
+    if (!cfg_.enabled || cfg_.delay_s > 0.0) return;
+    if (!lower_.empty() && s <= lower_.top()) {
+      lower_.push(s);
+    } else {
+      upper_.push(s);
+    }
+    // The rank grows by at most one per sample, so one move rebalances.
+    const std::size_t want = rank(lower_.size() + upper_.size()) + 1;
+    if (lower_.size() > want) {
+      upper_.push(lower_.top());
+      lower_.pop();
+    } else if (lower_.size() < want && !upper_.empty()) {
+      lower_.push(upper_.top());
+      upper_.pop();
+    }
   }
 
   /// Current trigger delay; +infinity while hedging is disabled or the
@@ -69,19 +86,26 @@ class HedgePlanner {
   double trigger_delay() const {
     if (!cfg_.enabled) return std::numeric_limits<double>::infinity();
     if (cfg_.delay_s > 0.0) return std::max(cfg_.delay_s, cfg_.min_delay_s);
-    if (static_cast<int>(ttfts_.size()) < cfg_.min_samples) {
+    const std::size_t n = lower_.size() + upper_.size();
+    if (static_cast<int>(n) < cfg_.min_samples) {
       return std::numeric_limits<double>::infinity();
     }
-    // Nearest-rank percentile.
-    const auto rank = static_cast<std::size_t>(
-        static_cast<double>(ttfts_.size() - 1) * cfg_.percentile / 100.0);
-    return std::max(ttfts_[rank], cfg_.min_delay_s);
+    return std::max(lower_.top(), cfg_.min_delay_s);
   }
 
  private:
+  /// Nearest-rank index of the trigger percentile among `n` samples.
+  std::size_t rank(std::size_t n) const {
+    return static_cast<std::size_t>(static_cast<double>(n - 1) *
+                                    cfg_.percentile / 100.0);
+  }
+
   HedgeConfig cfg_;
-  /// Observed TTFTs, ascending.
-  std::vector<double> ttfts_;
+  /// Observed TTFTs split at the nearest rank: `lower_` holds the
+  /// rank + 1 smallest (its top is the percentile), `upper_` the rest.
+  std::priority_queue<double> lower_;
+  std::priority_queue<double, std::vector<double>, std::greater<double>>
+      upper_;
 };
 
 }  // namespace mib::fleet

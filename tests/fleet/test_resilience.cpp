@@ -4,9 +4,13 @@
 // and autoscaler configs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <random>
 #include <set>
+#include <vector>
 
 #include "fleet/fleet.h"
 #include "hw/cluster.h"
@@ -307,6 +311,29 @@ TEST(Hedge, PlannerTriggerSemantics) {
   HedgePlanner descending(hc);
   for (double t : {0.4, 0.3, 0.2, 0.1}) descending.observe_ttft(t);
   EXPECT_EQ(descending.trigger_delay(), 0.3);
+
+  // After every sample, the trigger is the nearest-rank element of a
+  // sorted copy of all samples so far. Lognormal TTFTs rounded to a 1 ms
+  // grid, so ties are common.
+  hc.min_samples = 1;
+  hc.min_delay_s = 1e-12;
+  for (double pct : {50.0, 95.0, 99.0}) {
+    hc.percentile = pct;
+    HedgePlanner planner(hc);
+    std::mt19937_64 rng(static_cast<std::uint64_t>(pct));
+    std::lognormal_distribution<double> ttft(-3.0, 1.0);
+    std::vector<double> sorted;
+    for (int i = 0; i < 10000; ++i) {
+      const double t = std::max(1e-3, std::round(ttft(rng) * 1e3) / 1e3);
+      planner.observe_ttft(t);
+      sorted.insert(std::upper_bound(sorted.begin(), sorted.end(), t), t);
+      const auto rank = static_cast<std::size_t>(
+          static_cast<double>(sorted.size() - 1) * pct / 100.0);
+      EXPECT_EQ(planner.trigger_delay(), sorted[rank])
+          << "p" << pct << " after " << sorted.size() << " samples";
+      if (HasFailure()) return;
+    }
+  }
 }
 
 TEST(Hedge, ReducesTailTtftUnderAStragglerWindow) {
