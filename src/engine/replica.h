@@ -102,6 +102,8 @@ class Replica {
 
   /// Swap the pricing model (degradation window edges). Affects steps
   /// begun afterwards; an in-flight step keeps its committed end time.
+  /// `cost` outlives the replica too: step prices are kept per model
+  /// address.
   void set_cost_model(const LayerCostModel* cost);
 
   // --- queueing ---
