@@ -45,30 +45,13 @@ bool Replica::started(int request_id) const {
   return s != nullptr && s->first_token_s >= 0.0;
 }
 
-bool Replica::cancel(int request_id) {
-  for (auto it = running_.begin(); it != running_.end(); ++it) {
-    if (it->request_id == request_id) {
-      running_.erase(it);
-      // Retired capacity, even if by cancellation: admissions resume.
-      admission_blocked_ = false;
-      return true;
-    }
-  }
-  for (auto it = waiting_.begin(); it != waiting_.end(); ++it) {
-    if (it->request_id == request_id) {
-      waiting_.erase(it);
-      return true;
-    }
-  }
-  return false;
-}
-
 bool Replica::take(int request_id, Sequence* out) {
   MIB_ENSURE(out != nullptr, "take needs somewhere to put the sequence");
   for (auto it = running_.begin(); it != running_.end(); ++it) {
     if (it->request_id == request_id) {
       *out = *it;
       running_.erase(it);
+      // Retired capacity, even if by cancellation: admissions resume.
       admission_blocked_ = false;
       return true;
     }
@@ -234,10 +217,7 @@ void Replica::begin_step(double now) {
         });
     Sequence s = *victim;
     running_.erase(victim);
-    s.prefilled = 0;
-    s.generated = 0;
-    s.first_token_s = -1.0;
-    s.prefix_hit = false;
+    s.restart();
     waiting_.push_front(s);
     ++preemptions_;
     admission_blocked_ = true;
@@ -374,23 +354,10 @@ std::vector<Sequence> Replica::take_waiting() {
   return out;
 }
 
-void Replica::finish_drain() {
-  MIB_ENSURE(running_.empty() && waiting_.empty(),
-             "finish_drain on a replica still holding work");
-  prefix_cache_.clear();
-  mid_step_ = false;
-  admission_blocked_ = false;
-}
-
 std::vector<Sequence> Replica::evacuate() {
   auto out = take_all();
   // Crash: KV is gone, all progress lost.
-  for (auto& s : out) {
-    s.prefilled = 0;
-    s.generated = 0;
-    s.first_token_s = -1.0;
-    s.prefix_hit = false;
-  }
+  for (auto& s : out) s.restart();
   return out;
 }
 

@@ -62,6 +62,14 @@ struct Sequence {
   /// duplicate-decode waste when a split-brain copy loses the race.
   double served_s = 0.0;
 
+  /// Lose all progress (preemption, crash, recompute drain): the copy
+  /// re-prefills from scratch. served_s and retries are kept.
+  void restart() {
+    prefilled = 0;
+    generated = 0;
+    first_token_s = -1.0;
+    prefix_hit = false;
+  }
   bool prefill_done() const { return prefilled >= input_tokens; }
   bool finished() const { return generated >= output_tokens; }
   long long kv_tokens() const { return prefilled + generated; }
@@ -113,18 +121,17 @@ class Replica {
   bool has_work() const { return !waiting_.empty() || !running_.empty(); }
   /// Total tokens still to produce across queued + running work.
   long long outstanding_tokens() const;
-  /// KV tokens resident right now (leak checks, migration sizing).
-  long long kv_tokens_in_use() const { return kv_in_use(); }
+  /// KV tokens resident in the running batch right now.
+  long long kv_in_use() const;
 
   /// The copy of `request_id` held here (queued or running), or nullptr.
   const Sequence* find(int request_id) const;
   /// Whether this replica has emitted the first token of `request_id`.
   bool started(int request_id) const;
-  /// Remove the copy of `request_id` (hedge loser, resolved elsewhere).
-  /// Its KV is freed immediately. Returns whether a copy was held.
-  bool cancel(int request_id);
-  /// Remove the copy of `request_id` with progress *intact* (overlap-drain
-  /// handoff of one sequence). Returns whether a copy was held.
+  /// Remove the copy of `request_id` (running batch first) into `out`,
+  /// progress intact, and free its KV here. One verb for every single-copy
+  /// removal: a cancelled or shed copy, a fenced duplicate, or an
+  /// overlap-drain handoff. Returns whether a copy was held.
   bool take(int request_id, Sequence* out);
   /// request_ids of hedge copies still waiting (not yet in service) —
   /// the shed-first pool under overload.
@@ -152,15 +159,13 @@ class Replica {
   /// Planned drain: remove all queued and running work with progress
   /// *intact* (prefill/decode position, first-token stamp) for KV
   /// migration to a peer. The replica ends empty and cold, like after a
-  /// maintenance reboot.
+  /// maintenance reboot; on an already-empty replica (the end of an
+  /// overlap drain) only that cleanup happens.
   std::vector<Sequence> take_all();
   /// Overlap drain, phase one: remove only the *waiting* sequences (no KV
   /// resident yet) so they re-dispatch immediately while the running batch
   /// keeps decoding under the background KV copy.
   std::vector<Sequence> take_waiting();
-  /// Overlap drain, final: the replica is now empty; clear the prefix
-  /// cache and leave it cold, as after a maintenance reboot.
-  void finish_drain();
 
   // --- prefix cache ---
   bool prefix_warm(std::uint64_t hash) const {
@@ -196,7 +201,6 @@ class Replica {
   };
 
   void admit();
-  long long kv_in_use() const;
   void touch_prefix(std::uint64_t hash);
   StepPrices& prices();
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <queue>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -211,8 +210,8 @@ class FleetRun {
         stripe_bytes(mem.kv_bytes_per_token_per_device() *
                      static_cast<double>(cfg_.engine.cluster.size()) /
                      static_cast<double>(cfg_.migration.stripe_links)) {
-    // --- intake: validate, fold vision tokens, sort by arrival ---
-    intake.reserve(n);
+    // --- intake: validate, fold vision tokens, order by arrival ---
+    blank.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
       const auto& fr = trace[i];
       fr.request.validate();
@@ -230,13 +229,12 @@ class FleetRun {
       }
       MIB_ENSURE(s.input_tokens + s.output_tokens <= sim_.kv_token_capacity(),
                  "request " << i << " exceeds replica KV capacity even alone");
-      intake.push_back(s);
       blank.push_back(s);
+      intake.push_back(static_cast<int>(i));
     }
-    std::stable_sort(intake.begin(), intake.end(),
-                     [](const Sequence& a, const Sequence& b) {
-                       return a.arrival_s < b.arrival_s;
-                     });
+    std::stable_sort(intake.begin(), intake.end(), [this](int a, int b) {
+      return blank[a].arrival_s < blank[b].arrival_s;
+    });
 
     for (int i = 0; i < pool; ++i) {
       reps.emplace_back(cost_, sim_.kv_token_capacity(), cfg_.replica);
@@ -254,7 +252,7 @@ class FleetRun {
     // retry budget (every retry can redo a request's full work), hedging (a
     // second copy per request) and maintenance (evacuate-and-recompute
     // redoes work once per window).
-    for (const auto& s : intake) {
+    for (const auto& s : blank) {
       max_steps += s.input_tokens + s.output_tokens + 4;
     }
     max_steps =
@@ -286,7 +284,7 @@ class FleetRun {
       const double t = plane.sync_deadline(r);
       if (std::isfinite(t)) cal.push(t, K::kViewSync, r);
     }
-    cal.push(intake.front().arrival_s, K::kArrival);
+    cal.push(blank[intake.front()].arrival_s, K::kArrival);
     if (cfg_.autoscaler.enabled) cal.push(next_tick, K::kAutoscale);
     for (int i = 0; !oracle && i < cfg_.n_replicas; ++i) resume(i);
   }
@@ -405,7 +403,7 @@ class FleetRun {
                       [i](const Pending& h) { return h.src == i; });
       if (!pending && !reps[i].mid_step() && !reps[i].has_work()) {
         overlap_drain[i] = false;
-        reps[i].finish_drain();
+        reps[i].take_all();  // empty already: leaves the node cold
       }
     }
   }
@@ -539,7 +537,6 @@ class FleetRun {
       if (was_up && !up_now && active[i]) {
         if (oracle) {
           // Legacy: the front-end knows instantly, work retries at once.
-          stranded[i] = reps[i].evacuate();
           release_failed(i);
         } else {
           // Crash: progress is gone, but nobody knows yet. Work strands
@@ -736,8 +733,8 @@ class FleetRun {
   // --- 3h. fresh arrivals (bounded-queue admission, then routing) ---
   void on_arrivals() {
     if (due(K::kArrival).empty()) return;
-    while (next_arrival < n && intake[next_arrival].arrival_s <= now) {
-      Sequence s = intake[next_arrival++];
+    while (next_arrival < n && blank[intake[next_arrival]].arrival_s <= now) {
+      Sequence s = blank[intake[next_arrival++]];
       if (cfg_.hedge.enabled &&
           queued_total() >= cfg_.admission.queue_capacity) {
         // Queue full: shed waiting hedge copies before rejecting a
@@ -748,7 +745,8 @@ class FleetRun {
           for (int hid : reps[r].waiting_hedges()) {
             // A hedge whose primary already expired or died carries the
             // request alone now — shedding it would leak the request.
-            if (copies[hid] <= 1 || !reps[r].cancel(hid)) continue;
+            Sequence shed;
+            if (copies[hid] <= 1 || !reps[r].take(hid, &shed)) continue;
             --copies[hid];
             ++rep.hedges_shed;
             if (queued_total() < cfg_.admission.queue_capacity) break;
@@ -767,7 +765,9 @@ class FleetRun {
       }
       dispatch(std::move(s));
     }
-    if (next_arrival < n) cal.push(intake[next_arrival].arrival_s, K::kArrival);
+    if (next_arrival < n) {
+      cal.push(blank[intake[next_arrival]].arrival_s, K::kArrival);
+    }
   }
 
   // --- 3i'. requests stranded at a dead router fail over ---
@@ -870,11 +870,10 @@ class FleetRun {
   // A minority-homed request whose first token has not arrived within the
   // client's patience is re-submitted, and the majority side — which
   // cannot see the minority's copy — admits it again. Both sides now burn
-  // capacity on the same request; goodput will count it once.
+  // capacity on the same request; goodput will count it once. Patience
+  // that expires at one instant is served in request-id order.
   void on_client_retries() {
-    while (!dup_timers.empty() && dup_timers.top().at <= now) {
-      const int id = dup_timers.top().id;
-      dup_timers.pop();
+    for (int id : due(K::kClientRetry)) {
       client_timer_pending[id] = 0;
       if (done[id]) continue;
       if (copies[id] == 0) {
@@ -1137,7 +1136,6 @@ class FleetRun {
                   static_cast<std::uint64_t>(attempt)));
       delay *= 1.0 - pc.retry_jitter * jitter_uniform(key);
     }
-    dup_timers.push(DupTimer{now + delay, id});
     cal.push(now + delay, K::kClientRetry, id);
     return true;
   }
@@ -1356,10 +1354,7 @@ class FleetRun {
   // backoff and no retry-budget charge.
   void recompute(Sequence seq) {
     if (seq.kv_tokens() > 0) ++rep.drain_evacuations;
-    seq.prefilled = 0;
-    seq.generated = 0;
-    seq.first_token_s = -1.0;
-    seq.prefix_hit = false;
+    seq.restart();
     park(retries, K::kRetry, Pending{now, std::move(seq)});
   }
 
@@ -1424,7 +1419,7 @@ class FleetRun {
                    << rep.submitted);
     for (int i = 0; i < pool; ++i) {
       MIB_ENSURE(reps[i].queue_depth() == 0 && reps[i].running_count() == 0 &&
-                     reps[i].kv_tokens_in_use() == 0,
+                     reps[i].kv_in_use() == 0,
                  "replica " << i << " leaked work or KV past the run");
       MIB_ENSURE(stranded[i].empty(), "stranded work leaked on replica " << i);
     }
@@ -1439,9 +1434,11 @@ class FleetRun {
   const engine::LayerCostModel* cost_;
   const DegradedCostPool& degraded_costs_;
   const std::size_t n;
-  std::vector<Sequence> intake;
-  /// Pristine copy per request id (hedge copies restart from here).
+  /// Pristine copy per request id: arrivals, hedge copies and client
+  /// re-sends all start from here.
   std::vector<Sequence> blank;
+  /// Request ids in arrival order (stable, so ties keep id order).
+  std::vector<int> intake;
 
   // --- fleet state ---
   const int pool = sim_.pool_size();
@@ -1501,18 +1498,8 @@ class FleetRun {
   // max_client_retries > 1 the patience re-arms on a full-jitter
   // exponential backoff (the gray-failure client model); the defaults are
   // a single fixed timer.
-  /// Patience deadlines, earliest first. They also wake the loop through
-  /// the calendar, but requests whose patience expires at the same
-  /// instant are served in this heap's order, which the fleet goldens pin
-  /// (a retried batch re-dispatched at one instant arms equal deadlines).
-  struct DupTimer {
-    double at = 0.0;
-    int id = -1;
-    bool operator<(const DupTimer& o) const { return at > o.at; }  // min-heap
-  };
-  std::priority_queue<DupTimer> dup_timers;
   /// Patience attempts armed so far per request, and whether one is
-  /// currently pending in `dup_timers`.
+  /// currently pending in the calendar (as a kClientRetry entry).
   std::vector<int> client_attempts = std::vector<int>(n, 0);
   std::vector<char> client_timer_pending = std::vector<char>(n, 0);
   /// Requests ever double-dispatched (heal-lag drain scan).

@@ -10,17 +10,20 @@
 // backoff), and the autoscaler reacts to queue depth. Everything is
 // deterministic for a fixed seed.
 //
-// One event calendar (fleet/calendar.h) decides when each pass of the loop
-// happens: schedule edges are compiled into it when a run starts, and step
-// ends, heartbeats, breaker deadlines, view syncs, parked work, timers and
-// autoscaler ticks are pushed as they are set. Within a pass the handlers
-// run in EventKind order (heartbeats first, the autoscaler last), and the
-// timed ones visit only the replicas their due entries name. Stale entries
-// are dropped without a pass. The pass sequence is part of the contract:
-// partitioned runs refresh router views on every pass and the
-// view-disagreement clock sums per-pass slices, so an extra or a missing
-// pass (even one that only delivers a heartbeat, or one that advances time
-// by zero) changes the report.
+// One event calendar (fleet/calendar.h) is the run's only clock: schedule
+// edges are compiled into it when a run starts, and step ends, heartbeats,
+// breaker deadlines, view syncs, parked work, hedge triggers, client
+// patience and autoscaler ticks are pushed as they are set. Within a pass
+// the handlers run in EventKind order (heartbeats first, the autoscaler
+// last), and the timed ones visit only the targets their due entries name,
+// in target order: client patience that expires for several requests at
+// one instant is served by request id. Stale entries are dropped without a
+// pass. What still depends on the pass sequence: partitioned runs refresh
+// router views on every pass and the view-disagreement clock sums per-pass
+// slices, so an extra or a missing pass (even one that only delivers a
+// heartbeat, or one that advances time by zero) changes a partitioned
+// report. perfbench's fleet_chaos canonical digest pins both, so a
+// modelled view-refresh cadence waits for a change to that benchmark.
 //
 // Partial-failure resilience: replicas can also be *slow* instead
 // of dead (DegradationWindow, priced on derated hardware), the front-end

@@ -39,15 +39,10 @@ class Router {
   Router(RoutePolicy policy, std::uint64_t seed)
       : policy_(policy), rng_(seed) {}
 
-  RoutePolicy policy() const { return policy_; }
-
   /// Pick a replica for `seq`. `routable` lists the indices (into
   /// `replicas`) currently accepting traffic; it must be non-empty.
   int route(const Sequence& seq, const std::vector<Replica>& replicas,
             const std::vector<int>& routable);
-
-  /// Conversations currently pinned (affinity policy only).
-  std::size_t pinned_conversations() const { return pins_.size(); }
 
  private:
   /// Deterministic argmin of outstanding tokens (ties -> lowest index).

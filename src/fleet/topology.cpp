@@ -69,11 +69,9 @@ Topology::Topology(const TopologyConfig& cfg, int pool)
     }
   }
   attachment_.assign(static_cast<std::size_t>(pool), -1);
-  attachment_name_.assign(static_cast<std::size_t>(pool), "");
   for (std::size_t r = 0; r < cfg.replica_domain.size(); ++r) {
     if (cfg.replica_domain[r].empty()) continue;
     attachment_[r] = index_of(cfg.replica_domain[r]);
-    attachment_name_[r] = cfg.replica_domain[r];
   }
   spread_group_.assign(static_cast<std::size_t>(pool), "");
   for (std::size_t r = 0; r < attachment_.size(); ++r) {
@@ -92,14 +90,6 @@ int Topology::index_of(const std::string& name) const {
     if (domains_[i].name == name) return static_cast<int>(i);
   }
   return -1;
-}
-
-bool Topology::has_domain(const std::string& name) const {
-  return index_of(name) >= 0;
-}
-
-const std::string& Topology::domain_of(int replica) const {
-  return attachment_name_[static_cast<std::size_t>(replica)];
 }
 
 const std::string& Topology::spread_group_of(int replica) const {

@@ -86,12 +86,9 @@ class Topology {
  public:
   Topology(const TopologyConfig& cfg, int pool);
 
-  bool has_domain(const std::string& name) const;
   /// Replicas attached at or below `domain` (ascending). Throws on an
   /// unknown domain name.
   std::vector<int> replicas_under(const std::string& domain) const;
-  /// The domain `replica` attaches to, or "" for an isolated node.
-  const std::string& domain_of(int replica) const;
   /// The failure domain a placement decision should spread over: the
   /// parent of the replica's attachment domain (the rack above the node),
   /// or the attachment itself when it hangs off the root. "" for an
@@ -104,7 +101,6 @@ class Topology {
   std::vector<DomainSpec> domains_;
   std::vector<int> parent_;          ///< domain index -> parent index or -1
   std::vector<int> attachment_;      ///< replica -> domain index or -1
-  std::vector<std::string> attachment_name_;
   std::vector<std::string> spread_group_;  ///< replica -> placement group
 };
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/layer_cost.h"
+#include "engine/replica.h"
 #include "models/zoo.h"
 #include "workload/arrivals.h"
 #include "workload/generator.h"
@@ -174,6 +176,62 @@ TEST(Scheduler, WeightsTooBigRejected) {
   c.model = models::mixtral_8x7b();  // 93 GiB fp16 on one 80 GiB device
   c.cluster = hw::Cluster::h100_node(1);
   EXPECT_THROW(ServingSimulator(c, SchedulerConfig{}), Error);
+}
+
+// --- Replica verbs ---
+
+TEST(Replica, RestartLosesAllProgress) {
+  Sequence s;
+  s.input_tokens = 64;
+  s.output_tokens = 8;
+  s.prefilled = 64;
+  s.generated = 3;
+  s.first_token_s = 0.25;
+  s.prefix_hit = true;
+  s.retries = 2;
+  s.served_s = 0.5;
+  s.restart();
+  EXPECT_EQ(s.prefilled, 0);
+  EXPECT_EQ(s.generated, 0);
+  EXPECT_EQ(s.first_token_s, -1.0);
+  EXPECT_FALSE(s.prefix_hit);
+  // Burned work and the retry count survive a restart.
+  EXPECT_EQ(s.retries, 2);
+  EXPECT_EQ(s.served_s, 0.5);
+}
+
+TEST(Replica, TakingARunningCopyResumesAdmission) {
+  const auto c = engine_cfg();
+  const LayerCostModel cost(c.model, c.cluster, c.plan, c.cost);
+  Replica r(&cost, 100, ReplicaConfig{});
+  for (int id = 0; id < 3; ++id) {
+    Sequence s;
+    s.request_id = id;
+    s.arrival_s = 0.01 * id;
+    s.input_tokens = 30;
+    s.output_tokens = 50;
+    r.enqueue(s);
+  }
+  // Three 30-token prompts decode until the growing contexts overflow the
+  // 100-token pool: the youngest (id 2) is preempted and admission pauses.
+  while (r.preemptions() == 0) {
+    r.begin_step(0.0);
+    r.complete_step();
+  }
+  ASSERT_EQ(r.running_count(), 2);
+  ASSERT_EQ(r.queue_depth(), 1);
+  // Taking a running copy retires capacity, so the next step re-admits
+  // the preempted sequence without waiting for a completion.
+  Sequence taken;
+  ASSERT_TRUE(r.take(1, &taken));
+  EXPECT_EQ(taken.request_id, 1);
+  EXPECT_GT(taken.generated, 0);  // progress intact
+  r.begin_step(0.0);
+  EXPECT_EQ(r.running_count(), 2);
+  EXPECT_EQ(r.queue_depth(), 0);
+  // Ids 0 and 1 ran in lockstep, so id 0 holds as much KV as the taken
+  // copy; id 2 re-prefilled its 30 tokens.
+  EXPECT_EQ(r.kv_in_use(), taken.kv_tokens() + 30);
 }
 
 }  // namespace

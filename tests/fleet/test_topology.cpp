@@ -53,13 +53,10 @@ TopologyConfig two_rack_topology(int replicas, int split) {
 
 TEST(Topology, ValidTreeAndMembership) {
   const Topology topo(two_rack_topology(4, 2), 4);
-  EXPECT_TRUE(topo.has_domain("rack0"));
-  EXPECT_FALSE(topo.has_domain("rack9"));
   EXPECT_EQ(topo.replicas_under("rack0"), (std::vector<int>{0, 1}));
   EXPECT_EQ(topo.replicas_under("rack1"), (std::vector<int>{2, 3}));
   EXPECT_EQ(topo.replicas_under("zone"), (std::vector<int>{0, 1, 2, 3}));
   EXPECT_EQ(topo.replicas_under("node3"), (std::vector<int>{3}));
-  EXPECT_EQ(topo.domain_of(0), "node0");
 }
 
 TEST(Topology, ValidationRejectsBadTrees) {
