@@ -77,7 +77,6 @@ class LayerCostModel {
   const models::ModelConfig& model() const { return model_; }
   const hw::Cluster& cluster() const { return cluster_; }
   const parallel::ParallelPlan& plan() const { return plan_; }
-  const CostConfig& cost_config() const { return cost_; }
 
   /// Full prefill of `batch` sequences of `seq_len` text tokens (plus
   /// vision tokens when images_per_request > 0), producing the first output

@@ -51,8 +51,6 @@ class ServingSimulator {
  public:
   ServingSimulator(EngineConfig engine, SchedulerConfig sched);
 
-  const SchedulerConfig& scheduler_config() const { return sched_; }
-
   /// Token capacity of the KV pool (per replica).
   long long kv_token_capacity() const { return kv_capacity_tokens_; }
 

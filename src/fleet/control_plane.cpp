@@ -16,6 +16,18 @@ bool contains(const std::vector<int>& v, int x) {
   return false;
 }
 
+/// Every id in a partition window's side list is non-negative and named
+/// once; `what` is the kind of id in messages ("router", "replica").
+void ensure_distinct_ids(const std::vector<int>& ids, const char* what) {
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    MIB_ENSURE(ids[i] >= 0, "partition window names a negative " << what);
+    for (std::size_t j = i + 1; j < ids.size(); ++j) {
+      MIB_ENSURE(ids[i] != ids[j], "partition window lists "
+                                       << what << " " << ids[i] << " twice");
+    }
+  }
+}
+
 }  // namespace
 
 const char* heal_policy_name(HealPolicy policy) {
@@ -40,24 +52,8 @@ void PartitionWindow::validate() const {
   MIB_ENSURE(end_s > start_s, "partition window must have positive duration");
   MIB_ENSURE(!minority_routers.empty(),
              "partition window needs at least one minority router");
-  for (std::size_t i = 0; i < minority_routers.size(); ++i) {
-    MIB_ENSURE(minority_routers[i] >= 0,
-               "partition window names a negative router");
-    for (std::size_t j = i + 1; j < minority_routers.size(); ++j) {
-      MIB_ENSURE(minority_routers[i] != minority_routers[j],
-                 "partition window lists router " << minority_routers[i]
-                                                  << " twice");
-    }
-  }
-  for (std::size_t i = 0; i < minority_replicas.size(); ++i) {
-    MIB_ENSURE(minority_replicas[i] >= 0,
-               "partition window names a negative replica");
-    for (std::size_t j = i + 1; j < minority_replicas.size(); ++j) {
-      MIB_ENSURE(minority_replicas[i] != minority_replicas[j],
-                 "partition window lists replica " << minority_replicas[i]
-                                                   << " twice");
-    }
-  }
+  ensure_distinct_ids(minority_routers, "router");
+  ensure_distinct_ids(minority_replicas, "replica");
   MIB_ENSURE(flap_period_s >= 0.0, "negative flap period");
   if (flap_period_s > 0.0) {
     MIB_ENSURE(flap_duty > 0.0 && flap_duty <= 1.0,
@@ -147,7 +143,7 @@ ControlPlane::ControlPlane(const ControlPlaneConfig& cfg, RoutePolicy policy,
 
 int ControlPlane::survivor(double t) const {
   for (int r = 0; r < cfg_.routers; ++r) {
-    if (schedule_.up(r, t)) return r;
+    if (schedule_.up(r, t) && !router_fenced(r, t)) return r;
   }
   return -1;
 }
@@ -170,53 +166,39 @@ bool ControlPlane::replica_minority(int i, double t) const {
   return w != nullptr && contains(w->minority_replicas, i);
 }
 
+bool ControlPlane::passes(const PartitionWindow& cut, bool from_minority,
+                          bool to_minority) {
+  if (from_minority == to_minority) return true;  // same side
+  return from_minority ? cut.open_to_majority : cut.open_to_minority;
+}
+
 bool ControlPlane::reachable(int router, int replica, double t) const {
   const PartitionWindow* w = partition_at(t);
-  if (w == nullptr) return true;
-  const bool rtr_minor = contains(w->minority_routers, router);
-  const bool rep_minor = contains(w->minority_replicas, replica);
-  if (rtr_minor == rep_minor) return true;  // same side
-  // Cross-cut dispatch travels router-side -> replica-side.
-  return rtr_minor ? w->open_to_majority : w->open_to_minority;
+  return w == nullptr || passes(*w, contains(w->minority_routers, router),
+                                contains(w->minority_replicas, replica));
 }
 
 bool ControlPlane::reply_reachable(int replica, int router, double t) const {
   const PartitionWindow* w = partition_at(t);
-  if (w == nullptr) return true;
-  // A clean cut lets established response streams survive. Only an
-  // asymmetric cut models reply loss.
-  if (!w->open_to_minority && !w->open_to_majority) return true;
-  const bool rep_minor = contains(w->minority_replicas, replica);
-  const bool rtr_minor = contains(w->minority_routers, router);
-  if (rep_minor == rtr_minor) return true;  // same side
-  // The reply travels replica-side -> router-side.
-  return rep_minor ? w->open_to_majority : w->open_to_minority;
+  return w == nullptr || (!w->open_to_minority && !w->open_to_majority) ||
+         passes(*w, contains(w->minority_replicas, replica),
+                contains(w->minority_routers, router));
 }
 
 bool ControlPlane::cancel_reachable(int replica, double t) const {
   const PartitionWindow* w = partition_at(t);
-  if (w == nullptr) return true;
-  // Cancels originate on the majority side (the front end that resolved
-  // the request); they cross into the minority only along an open
-  // majority -> minority direction.
-  return !contains(w->minority_replicas, replica) || w->open_to_minority;
+  return w == nullptr ||
+         passes(*w, false, contains(w->minority_replicas, replica));
 }
 
 bool ControlPlane::heartbeat_crosses(int replica, double t) const {
   const PartitionWindow* w = partition_at(t);
-  if (w == nullptr) return true;
-  // The health monitor lives with the majority; a minority replica's
-  // heartbeat needs the minority -> majority direction.
-  return !contains(w->minority_replicas, replica) || w->open_to_majority;
+  return w == nullptr ||
+         passes(*w, contains(w->minority_replicas, replica), false);
 }
 
 bool ControlPlane::drain_reachable(int replica, double t) const {
-  if (!cfg_.partition.sever_drain_fabric) return true;
-  const PartitionWindow* w = partition_at(t);
-  if (w == nullptr) return true;
-  // KV ships toward the majority side, where the drained work re-enters;
-  // a minority source needs the minority -> majority direction.
-  return !contains(w->minority_replicas, replica) || w->open_to_majority;
+  return !cfg_.partition.sever_drain_fabric || heartbeat_crosses(replica, t);
 }
 
 double ControlPlane::fence_time(const PartitionWindow& w) const {

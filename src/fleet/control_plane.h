@@ -40,12 +40,24 @@
 // Four refinements, each defaulting to the clean cut:
 //
 //  - Asymmetric links: a window can leave one direction of the cut
-//    passing traffic (open_to_minority / open_to_majority). Dispatches
-//    cross the cut along an open direction, but the reply has to cross
-//    back — if that direction is dark, the replica decodes to completion
-//    and nobody hears (an orphaned completion, charged to
-//    lost_completion_s). Cancels are majority-initiated and reach a
-//    minority replica only when open_to_minority is set.
+//    passing traffic (open_to_minority / open_to_majority). One direction
+//    rule decides every crossing: traffic between two ends on the same
+//    side always passes; traffic from one side to the other passes only
+//    when the direction it travels is open. Each kind of traffic has a
+//    fixed direction:
+//      dispatch   router side -> replica side;
+//      reply      replica side -> router side;
+//      cancel     majority -> replica side (the resolving front end);
+//      heartbeat  replica side -> majority (the health monitor);
+//      drain KV   replica side -> majority (the drain target), and only
+//                 when the partition severs the drain fabric.
+//    One exception: a clean cut (both flags false) keeps the charitable
+//    assumption that response streams established before or across the
+//    cut survive it, so replies always pass; an asymmetric cut is
+//    precisely the gray failure where they do not. A dispatch that
+//    crosses along an open direction whose reply direction is dark
+//    decodes to completion and nobody hears (an orphaned completion,
+//    charged to lost_completion_s).
 //  - Flapping: flap_period_s / flap_duty expand one configured window
 //    into a train of short cuts, re-running the freeze/heal machinery at
 //    every edge. Breakers, frozen views, heal fencing and quorum grace
@@ -60,9 +72,8 @@
 //    max_client_retries), reusing the splitmix hash scheme of the
 //    server-side RetryPolicy.
 //
-// A clean cut keeps the charitable assumption that response streams
-// established before (or across) the cut survive it; an asymmetric cut is
-// precisely the gray failure where they do not.
+// Outside a cut every query answers "no cut": all traffic passes, no
+// router is minority or fenced, and survivor() equals majority_survivor().
 #pragma once
 
 #include <cstdint>
@@ -218,7 +229,9 @@ class ControlPlane {
   bool router_up(int router, double t) const {
     return schedule_.up(router, t);
   }
-  /// Lowest-index live router at t, or -1 when the whole plane is dark.
+  /// Lowest-index live router at t that has not fenced itself, or -1 when
+  /// the whole plane is dark (or every live router is fenced). Outside a
+  /// cut no router is fenced, so this is the lowest live router.
   int survivor(double t) const;
 
   /// Whether partitions are configured at all (windows may still be
@@ -236,13 +249,13 @@ class ControlPlane {
   bool router_minority(int r, double t) const;
   /// Whether replica i is cut off with the minority side at t.
   bool replica_minority(int i, double t) const;
-  /// Whether router r can dispatch onto replica i at t: same side, or the
-  /// cross-cut direction router-side -> replica-side is open.
+  // The five crossing queries below apply the one direction rule (see the
+  // gray-failure paragraph above) to one kind of traffic each.
+
+  /// Whether router r can dispatch onto replica i at t.
   bool reachable(int router, int replica, double t) const;
   /// Whether a completion from replica i can reach the router that
-  /// dispatched it. Clean cuts assume that established response streams
-  /// survive; on an asymmetric cut the reply must cross replica-side ->
-  /// router-side along an open direction.
+  /// dispatched it (always, under a clean cut).
   bool reply_reachable(int replica, int router, double t) const;
   /// Whether a majority-initiated cancel reaches replica i at t.
   bool cancel_reachable(int replica, double t) const;
@@ -299,6 +312,10 @@ class ControlPlane {
   /// Time at which the minority side of cut episode w fences, or +inf
   /// when its side never fences (has quorum, or quorum = kServeStale).
   double fence_time(const PartitionWindow& w) const;
+  /// The direction rule: traffic from one side to the other crosses `cut`
+  /// when both ends share a side or the direction it travels is open.
+  static bool passes(const PartitionWindow& cut, bool from_minority,
+                     bool to_minority);
 
   ControlPlaneConfig cfg_;
   FaultSchedule schedule_;

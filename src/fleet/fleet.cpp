@@ -366,45 +366,47 @@ class FleetRun {
     std::sort(kick_.begin(), kick_.end());
     kick_.erase(std::unique(kick_.begin(), kick_.end()), kick_.end());
     for (int i : kick_) {
-      // A replica in maintenance normally sits dark — unless its overlap
-      // drain is still running, in which case it keeps decoding its
-      // running batch while the KV copies out behind it.
+      kick(i);
+      // An overlap drain completes when the last sequence has cut over: the
+      // source is empty, no snapshot copies are pending, and the node can
+      // finally go down for its maintenance. Only a touched replica can
+      // have got there since the last pass.
       Replica& r = reps[i];
-      if (!active[i] || (in_maint[i] && !overlap_drain[i]) ||
-          !faults.up(i, now) || r.mid_step()) {
-        continue;
-      }
-      for (auto& s : r.drop_expired(now)) {
-        const int id = s.request_id;
-        MIB_ENSURE(!done[id], "expired copy of a resolved request");
-        if (copies[id] > 1) {
-          charge_duplicate(s);
-          --copies[id];  // the other copy still carries the request
-          continue;
-        }
-        --copies[id];
-        record_terminal(s, RequestStatus::kExpired);
-        ++rep.expired;
-      }
-      if (r.has_work()) {
-        r.begin_step(now);
-        ++steps_begun;
-        cal.push(r.step_end_s(), K::kStepEnd, i);
+      if (overlap_drain[i] && !r.mid_step() && !r.has_work() &&
+          std::none_of(handoffs.begin(), handoffs.end(),
+                       [i](const Pending& h) { return h.src == i; })) {
+        overlap_drain[i] = false;
+        r.take_all();  // empty already: leaves the node cold
       }
     }
     kick_.clear();
-    // An overlap drain completes when the last sequence has cut over: the
-    // source is empty, no snapshot copies are pending, and the node can
-    // finally go down for its maintenance.
-    for (int i = 0; cfg_.migration.overlap_decode && i < pool; ++i) {
-      if (!overlap_drain[i]) continue;
-      const bool pending =
-          std::any_of(handoffs.begin(), handoffs.end(),
-                      [i](const Pending& h) { return h.src == i; });
-      if (!pending && !reps[i].mid_step() && !reps[i].has_work()) {
-        overlap_drain[i] = false;
-        reps[i].take_all();  // empty already: leaves the node cold
+  }
+
+  void kick(int i) {
+    // A replica in maintenance normally sits dark — unless its overlap
+    // drain is still running, in which case it keeps decoding its running
+    // batch while the KV copies out behind it.
+    Replica& r = reps[i];
+    if (!active[i] || (in_maint[i] && !overlap_drain[i]) ||
+        !faults.up(i, now) || r.mid_step()) {
+      return;
+    }
+    for (auto& s : r.drop_expired(now)) {
+      const int id = s.request_id;
+      MIB_ENSURE(!done[id], "expired copy of a resolved request");
+      if (copies[id] > 1) {
+        charge_duplicate(s);
+        --copies[id];  // the other copy still carries the request
+        continue;
       }
+      --copies[id];
+      record_terminal(s, RequestStatus::kExpired);
+      ++rep.expired;
+    }
+    if (r.has_work()) {
+      r.begin_step(now);
+      ++steps_begun;
+      cal.push(r.step_end_s(), K::kStepEnd, i);
     }
   }
 
@@ -445,7 +447,7 @@ class FleetRun {
       // gray failure where the node looks healthy while its replies are
       // lost.
       if (active[i] && !in_maint[i] && faults.up(i, now) &&
-          (!partitions || plane.heartbeat_crosses(i, now))) {
+          plane.heartbeat_crosses(i, now)) {
         monitor.on_heartbeat(i, now);
         arm_breaker(i);
       }
@@ -470,7 +472,7 @@ class FleetRun {
       // A severed drain fabric (the source behind a cut with
       // sever_drain_fabric set) cannot ship KV at all: every drain on
       // this replica falls back to evacuate-and-recompute.
-      const bool severed = partitions && !plane.drain_reachable(i, now);
+      const bool severed = !plane.drain_reachable(i, now);
       double cursor = now;  // transfers serialize on the striped fabric
       // Ship one frozen sequence's KV to a peer, or recompute it: nothing
       // resident to move (still queued), recompute mode, or a severed
@@ -591,8 +593,11 @@ class FleetRun {
   }
 
   // --- 3e''. partition edges: heal the split brain ---
+  // Every cut and heal edge after t = 0 is a kPlaneEdge entry, so the cut
+  // can change only on a pass where one is due.
   void on_partition_edge() {
-    const PartitionWindow* cur = partitions ? plane.partition_at(now) : nullptr;
+    if (due(K::kPlaneEdge).empty()) return;
+    const PartitionWindow* cur = plane.partition_at(now);
     if (cur == active_part) return;
     if (active_part != nullptr) {
       // The partition healed: resolve the divergence. Stray copies of
@@ -608,6 +613,7 @@ class FleetRun {
           if (!stray && !(fence && copies[id] > 1)) continue;
           Sequence s;
           if (!reps[i].take(id, &s)) continue;
+          kick_.push_back(i);
           --copies[id];
           if (stray) {
             count_cancelled(s);  // deferred loser-copy cancel
@@ -636,6 +642,7 @@ class FleetRun {
           continue;
         }
         Sequence s = std::move(it->seq);
+        if (on_source) kick_.push_back(it->src);
         if (!on_source || reps[it->src].take(s.request_id, &s)) {
           ++rep.migration_aborts;
           recompute(std::move(s));
@@ -665,8 +672,7 @@ class FleetRun {
           count_cancelled(s);
           continue;
         }
-        if (partitions && s.via_router >= 0 &&
-            !plane.reply_reachable(i, s.via_router, now)) {
+        if (s.via_router >= 0 && !plane.reply_reachable(i, s.via_router, now)) {
           // Orphaned decode: the copy finished behind an asymmetric cut
           // and its completion cannot reach the side that dispatched it.
           // The replica's work is gone; the client is still waiting.
@@ -707,6 +713,7 @@ class FleetRun {
   // --- 3g0. overlap-drain cutovers: snapshot copy done, ship the delta ---
   void on_handoffs() {
     for (auto& h : take_due(handoffs, now)) {
+      kick_.push_back(h.src);
       Sequence s;
       // The sequence may have finished on the source meanwhile (the best
       // outcome), crashed off it, or been cancelled as a hedge loser.
@@ -747,6 +754,7 @@ class FleetRun {
             // request alone now — shedding it would leak the request.
             Sequence shed;
             if (copies[hid] <= 1 || !reps[r].take(hid, &shed)) continue;
+            kick_.push_back(r);
             --copies[hid];
             ++rep.hedges_shed;
             if (queued_total() < cfg_.admission.queue_capacity) break;
@@ -773,18 +781,8 @@ class FleetRun {
   // --- 3i'. requests stranded at a dead router fail over ---
   void on_router_failovers() {
     for (auto& p : take_due(router_pending, now)) {
-      int rtr = plane.survivor(now);
-      if (rtr >= 0 && partitions && plane.router_fenced(rtr, now)) {
-        // The lowest live router has fenced itself off: fail over to a
-        // live router that is still admitting, if any.
-        rtr = -1;
-        for (int r = 0; r < cfg_.control.routers; ++r) {
-          if (plane.router_up(r, now) && !plane.router_fenced(r, now)) {
-            rtr = r;
-            break;
-          }
-        }
-      }
+      // The lowest live router that is still admitting (not fenced).
+      const int rtr = plane.survivor(now);
       if (rtr < 0) {
         // The whole front end is dark (or fenced): wait for a router to
         // return or a partition edge to lift the fence.
@@ -836,7 +834,7 @@ class FleetRun {
       int rtr = plane.survivor(now);
       // Hedges are optional insurance: during a partition they are issued
       // against the healthy (majority) side only.
-      if (partitions && plane.partition_at(now) != nullptr) {
+      if (plane.partition_at(now) != nullptr) {
         rtr = plane.majority_survivor(now);
       }
       if (rtr < 0) continue;  // whole front end dark: no hedge
@@ -943,7 +941,7 @@ class FleetRun {
   // --- 3k. autoscaler tick ---
   void on_autoscaler() {
     if (due(K::kAutoscale).empty()) return;
-    if (partitions && plane.partition_at(now) != nullptr) {
+    if (plane.partition_at(now) != nullptr) {
       const int d_major = tick_side(0);
       const int d_minor = tick_side(1);
       if (d_major != d_minor) ++rep.autoscaler_conflicts;
@@ -1060,10 +1058,10 @@ class FleetRun {
   // gates are front-end-initiated state every router knows instantly.
   std::vector<int> routable_for(int rtr) const {
     std::vector<int> up;
-    const bool frozen = partitions && plane.frozen_view(rtr, now);
+    const bool frozen = plane.frozen_view(rtr, now);
     for (int i = 0; i < pool; ++i) {
       if (!active[i] || in_maint[i]) continue;
-      if (partitions && !plane.reachable(rtr, i, now)) continue;
+      if (!plane.reachable(rtr, i, now)) continue;
       const bool ok = (plane.stale_views() || frozen) ? plane.view_ok(rtr, i)
                                                       : live_routable(i);
       if (ok) up.push_back(i);
@@ -1177,9 +1175,8 @@ class FleetRun {
       // Only a stale breaker view — aged out under staggered syncs or
       // frozen on the minority side of a partition — can pick a replica
       // the live state has already fenced off.
-      MIB_ENSURE(
-          plane.stale_views() || (partitions && plane.frozen_view(rtr, now)),
-          "dispatch to a replica with an open circuit");
+      MIB_ENSURE(plane.stale_views() || plane.frozen_view(rtr, now),
+                 "dispatch to a replica with an open circuit");
       ++rep.stale_dispatches;
       if (!faults.up(idx, now)) {
         // Connection refused by a dead node: the client times out after
@@ -1192,7 +1189,7 @@ class FleetRun {
       // Breaker open but the node is alive (a false-positive open): the
       // stale dispatch lands and is simply served.
     }
-    if (partitions && !plane.reply_reachable(idx, rtr, now)) {
+    if (!plane.reply_reachable(idx, rtr, now)) {
       // Cross-cut dispatch over an asymmetric link: the copy can decode to
       // completion without the dispatching side ever hearing back.
       // Patience must be ticking or the request would leak with its
@@ -1205,43 +1202,40 @@ class FleetRun {
 
   void dispatch(Sequence seq) {
     const int home = plane.assigned_router(seq.request_id);
-    if (partitions) {
-      const int u = seq.request_id;
-      if (seq.is_partition_dup) {
-        // The duplicate is the client's majority-side retry: while the
-        // partition holds it re-enters at a majority router, never back
-        // at its cut-off home.
-        if (plane.partition_at(now) != nullptr) {
-          const int rtr = plane.majority_survivor(now);
-          if (rtr >= 0) {
-            dispatch_via(rtr, std::move(seq));
-            return;
-          }
-          // No live majority router: fall through to the home-router
-          // stranding machinery below.
-        }
-      } else if (plane.router_fenced(home, now)) {
-        // Quorum self-fencing: the minority home router knows it lost the
-        // router majority and refuses the dispatch outright, so the client
-        // re-homes to the majority survivor instead of burning patience
-        // against a side that will not answer.
-        ++rep.quorum_fenced;
-        rep.requests[u].quorum_rehomed = true;
+    if (seq.is_partition_dup) {
+      // The duplicate is the client's majority-side retry: while the
+      // partition holds it re-enters at a majority router, never back at
+      // its cut-off home.
+      if (plane.partition_at(now) != nullptr) {
         const int rtr = plane.majority_survivor(now);
         if (rtr >= 0) {
           dispatch_via(rtr, std::move(seq));
           return;
         }
-        // No live majority router either: strand client-side until the
-        // fail-over lag passes (3i' re-checks fencing on re-entry).
-        park(router_pending, K::kRouterFailover,
-             Pending{now + cfg_.control.failover_detection_s, seq});
-        return;
-      } else if (plane.router_minority(home, now)) {
-        // Minority-homed dispatch during a partition: the client's retry
-        // patience starts ticking toward a majority-side double dispatch.
-        arm_client_timer(seq.request_id);
+        // No live majority router: fall through to the home-router
+        // stranding machinery below.
       }
+    } else if (plane.router_fenced(home, now)) {
+      // Quorum self-fencing: the minority home router knows it lost the
+      // router majority and refuses the dispatch outright, so the client
+      // re-homes to the majority survivor instead of burning patience
+      // against a side that will not answer.
+      ++rep.quorum_fenced;
+      rep.requests[seq.request_id].quorum_rehomed = true;
+      const int rtr = plane.majority_survivor(now);
+      if (rtr >= 0) {
+        dispatch_via(rtr, std::move(seq));
+        return;
+      }
+      // No live majority router either: strand client-side until the
+      // fail-over lag passes (3i' re-checks fencing on re-entry).
+      park(router_pending, K::kRouterFailover,
+           Pending{now + cfg_.control.failover_detection_s, seq});
+      return;
+    } else if (plane.router_minority(home, now)) {
+      // Minority-homed dispatch during a partition: the client's retry
+      // patience starts ticking toward a majority-side double dispatch.
+      arm_client_timer(seq.request_id);
     }
     if (!plane.router_up(home, now)) {
       // Home router dead: the request strands client-side until the
@@ -1267,9 +1261,10 @@ class FleetRun {
       // the majority->minority direction open: a stray copy behind a full
       // cut keeps burning until the heal fences it (or until it completes
       // as a photo-finish loser).
-      if (partitions && !plane.cancel_reachable(r, now)) continue;
+      if (!plane.cancel_reachable(r, now)) continue;
       Sequence s;
       while (copies[id] > 1 && reps[r].take(id, &s)) {
+        kick_.push_back(r);
         --copies[id];
         count_cancelled(s);
       }
@@ -1300,6 +1295,7 @@ class FleetRun {
   // simply dropped.
   void release_failed(int i) {
     auto work = reps[i].evacuate();
+    kick_.push_back(i);
     for (auto& s : stranded[i]) work.push_back(s);
     stranded[i].clear();
     for (auto& s : work) {
@@ -1453,8 +1449,10 @@ class FleetRun {
   // query time.
   const DegradationSchedule warm{sim_.warmup_windows()};
   ControlPlane plane{cfg_.control, cfg_.policy, cfg_.seed, pool};
-  // Every split-brain path is gated on this: with no partition windows
-  // configured none of them runs.
+  // Every partition query answers "no cut" when no window is configured.
+  // This flag gates only what would still differ: the per-pass refresh of
+  // router views (sync_views), the end-of-run sweep of stray minority
+  // copies (finish), and the partition factor of the step bound.
   const bool partitions = plane.partition_enabled();
   const Autoscaler scaler{cfg_.autoscaler};
   HealthMonitor monitor{cfg_.health, pool};
@@ -1506,8 +1504,7 @@ class FleetRun {
   std::vector<int> dup_ids;
   /// Heal edges whose duplicates have not all resolved yet.
   std::vector<double> pending_heals;
-  const PartitionWindow* active_part =
-      partitions ? plane.partition_at(0.0) : nullptr;
+  const PartitionWindow* active_part = plane.partition_at(0.0);
 
   std::size_t next_arrival = 0;
   std::size_t resolved = 0;
@@ -1521,8 +1518,9 @@ class FleetRun {
   Calendar cal;
   std::vector<std::vector<int>> due_ =
       std::vector<std::vector<int>>(static_cast<std::size_t>(K::kCount));
-  /// Replicas that may have turned idle-with-work and in service since the
-  /// last kick: the next kick examines only these.
+  /// Replicas that may have turned idle-with-work and in service, or lost
+  /// a copy or a pending handoff, since the last kick: the next kick
+  /// examines only these.
   std::vector<int> kick_;
 
   std::vector<bool> flags() const { return std::vector<bool>(pool, false); }

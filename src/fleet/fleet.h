@@ -17,13 +17,15 @@
 // the handlers run in EventKind order (heartbeats first, the autoscaler
 // last), and the timed ones visit only the targets their due entries name,
 // in target order: client patience that expires for several requests at
-// one instant is served by request id. Stale entries are dropped without a
-// pass. What still depends on the pass sequence: partitioned runs refresh
-// router views on every pass and the view-disagreement clock sums per-pass
-// slices, so an extra or a missing pass (even one that only delivers a
-// heartbeat, or one that advances time by zero) changes a partitioned
-// report. perfbench's fleet_chaos canonical digest pins both, so a
-// modelled view-refresh cadence waits for a change to that benchmark.
+// one instant is served by request id. Partition cut and heal edges are
+// entries too, so the heal handler runs only on a pass where one is due.
+// Stale entries are dropped without a pass. What still depends on the
+// pass sequence: partitioned runs refresh router views on every pass and
+// the view-disagreement clock sums per-pass slices, so an extra or a
+// missing pass (even one that only delivers a heartbeat, or one that
+// advances time by zero) changes a partitioned report. perfbench's
+// fleet_chaos canonical digest pins both, so a modelled view-refresh
+// cadence waits for a change to that benchmark.
 //
 // Partial-failure resilience: replicas can also be *slow* instead
 // of dead (DegradationWindow, priced on derated hardware), the front-end

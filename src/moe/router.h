@@ -53,7 +53,6 @@ class Router {
   /// Add a fixed per-expert logit bias. A zero prior (default) models an
   /// aux-loss-balanced router; a Zipf-decaying prior models a skewed one.
   void set_logit_prior(std::vector<float> prior);
-  const std::vector<float>& logit_prior() const { return prior_; }
 
   /// Route a batch of tokens x [tokens, hidden]; updates activation
   /// counters.

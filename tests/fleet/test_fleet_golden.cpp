@@ -334,6 +334,30 @@ FleetReport prefix_affinity() {
   return FleetSimulator(fc).run(trace);
 }
 
+// Prefix-affinity conversations on Qwen3-30B-A3B, whose KV pool holds only
+// a few dozen long prompts, so replicas preempt under KV pressure. Replica
+// 0 crashes mid-run: turns that hit its prefix cache lose their progress
+// and complete on a replica whose cache is cold for them, so their
+// records must report no prefix hit.
+FleetReport prefix_restart() {
+  FleetConfig fc = base_cfg(2);
+  fc.engine.model = models::qwen3_30b_a3b();
+  fc.policy = RoutePolicy::kPrefixAffinity;
+  fc.faults.push_back(FaultWindow{0, 1.5, 1.8});
+  fc.retry.max_retries = 12;
+  workload::ConversationConfig conv;
+  conv.n_conversations = 32;
+  conv.turns_per_conversation = 3;
+  conv.system_prompt_tokens = 4000;
+  conv.seed = 5;
+  auto trace = as_fleet_trace(workload::generate_conversations(conv));
+  workload::ArrivalConfig ac;
+  ac.rate_qps = 30.0;
+  ac.seed = 21;
+  stamp_arrivals(ac, trace);
+  return FleetSimulator(fc).run(trace);
+}
+
 // Every subsystem at once on one small fleet.
 FleetReport everything() {
   FleetConfig fc = partitioned(4, 3);
@@ -519,6 +543,8 @@ const Golden kMatrix[] = {
      160, 0x1.d56d5c8925f6bp+1, 0x297f2f502bec6665ull},
     {"prefix-affinity/conversations", prefix_affinity,
      116, 0x1.45f56bb9c2502p+1, 0x210e1a20ed6b22e9ull},
+    {"prefix-affinity/crash-under-kv-pressure", prefix_restart,
+     96, 0x1.9078b5e3c0b9fp+3, 0x58a7ddf1eae98f9eull},
     {"everything", everything,
      75, 0x1.5f6e45b6a2b66p+1, 0xd19b3b466158be61ull},
 };

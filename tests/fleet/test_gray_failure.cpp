@@ -222,6 +222,17 @@ TEST(GrayFailure, QuorumFencingFollowsRouterMajority) {
   EXPECT_FALSE(one.router_fenced(0, 1.5));  // the majority never fences
   EXPECT_FALSE(one.router_fenced(2, 0.5));  // no cut, no fence
 
+  // Router 0 cut off: the survivor a stranded request fails over to is
+  // the lowest live router still admitting, so it skips the fenced router
+  // 0 inside the cut and is router 0 again outside it.
+  cc.partition.windows = {window(1.0, 2.0, {0}, {})};
+  const ControlPlane low(cc, RoutePolicy::kLeastOutstanding, 7, 2);
+  EXPECT_TRUE(low.router_fenced(0, 1.5));
+  EXPECT_EQ(low.survivor(1.5), 1);
+  EXPECT_EQ(low.survivor(1.5), low.majority_survivor(1.5));
+  EXPECT_EQ(low.survivor(0.5), 0);
+  EXPECT_EQ(low.survivor(2.0), 0);
+
   // 2 of 3 named minority: the named side holds the strict majority, so
   // neither side fences.
   cc.partition.windows = {window(1.0, 2.0, {1, 2}, {})};

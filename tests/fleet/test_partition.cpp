@@ -153,15 +153,42 @@ TEST(Partition, MajoritySurvivorRespectsRouterFaults) {
   EXPECT_EQ(plane.majority_survivor(2.5), 0);  // router 0 back
 }
 
+// The fleet asks every partition query without first checking whether a
+// partition is configured, so each must give the no-cut answer on a plane
+// without windows: a default config, and one enabled with no windows.
 TEST(Partition, DisabledPlaneKeepsPathsCold) {
-  ControlPlaneConfig cc;
-  cc.routers = 2;
-  const ControlPlane plane(cc, RoutePolicy::kLeastOutstanding, 7, 2);
-  EXPECT_FALSE(plane.partition_enabled());
-  EXPECT_EQ(plane.partition_at(1.0), nullptr);
-  EXPECT_TRUE(plane.reachable(0, 1, 1.0));
-  EXPECT_FALSE(plane.frozen_view(1, 1.0));
-  EXPECT_TRUE(plane.partition_edges().empty());
+  ControlPlaneConfig off;
+  off.routers = 2;
+  ControlPlaneConfig empty = off;
+  empty.partition.enabled = true;
+  for (ControlPlaneConfig cc : {off, empty}) {
+    SCOPED_TRACE(cc.partition.enabled ? "enabled, no windows" : "default");
+    cc.partition.quorum = QuorumPolicy::kFenceAtCut;
+    cc.partition.sever_drain_fabric = true;
+    const ControlPlane plane(cc, RoutePolicy::kLeastOutstanding, 7, 2);
+    EXPECT_FALSE(plane.partition_enabled());
+    EXPECT_TRUE(plane.partition_edges().empty());
+    for (double t : {0.0, 1.0}) {
+      EXPECT_EQ(plane.partition_at(t), nullptr);
+      EXPECT_EQ(plane.survivor(t), 0);
+      EXPECT_EQ(plane.survivor(t), plane.majority_survivor(t));
+      for (int r = 0; r < 2; ++r) {
+        EXPECT_FALSE(plane.frozen_view(r, t));
+        EXPECT_FALSE(plane.router_minority(r, t));
+        EXPECT_FALSE(plane.router_fenced(r, t));
+        for (int i = 0; i < 2; ++i) {
+          EXPECT_TRUE(plane.reachable(r, i, t));
+          EXPECT_TRUE(plane.reply_reachable(i, r, t));
+        }
+      }
+      for (int i = 0; i < 2; ++i) {
+        EXPECT_FALSE(plane.replica_minority(i, t));
+        EXPECT_TRUE(plane.cancel_reachable(i, t));
+        EXPECT_TRUE(plane.heartbeat_crosses(i, t));
+        EXPECT_TRUE(plane.drain_reachable(i, t));
+      }
+    }
+  }
 }
 
 // --- split-brain end to end ---
