@@ -75,6 +75,22 @@ TEST(TransformerMla, SessionsNotInterchangeable) {
   const Transformer mha(c, 13);
   auto mha_session = mha.new_session();
   EXPECT_THROW(mla.forward({1}, mha_session), Error);
+
+  // Equal row widths: GQA with one KV head of 8 floats caches 2 * 8 = 16
+  // floats per position, MLA with rank 8 and rope key 8 caches 8 + 8 = 16.
+  auto narrow_mha = c;
+  narrow_mha.n_kv_heads = 1;
+  auto wide_rope = mla_cfg();
+  wide_rope.mla_rope_dim = 8;
+  const Transformer gqa1(narrow_mha, 13);
+  const Transformer mla16(wide_rope, 13);
+  auto gqa_session = gqa1.new_session();
+  auto mla_session = mla16.new_session();
+  EXPECT_THROW(mla16.forward({1}, gqa_session), Error);
+  EXPECT_THROW(gqa1.forward({1}, mla_session), Error);
+  // Each model still runs its own session.
+  mla16.forward({1}, mla_session);
+  gqa1.forward({1}, gqa_session);
 }
 
 TEST(TransformerMla, RouterCountsStillAccumulate) {
