@@ -11,7 +11,6 @@
 // data points.
 #pragma once
 
-#include "engine/kv_cache.h"
 #include "engine/layer_cost.h"
 #include "engine/memory.h"
 #include "engine/request.h"

@@ -1,6 +1,5 @@
 #include "moe/attention.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
@@ -19,23 +18,28 @@ void AttentionConfig::validate() const {
   MIB_ENSURE(rope_theta > 0, "rope_theta must be positive");
 }
 
-KvState::KvState(const AttentionConfig& cfg) : kv_dim_(cfg.kv_dim()) {
+KvState::KvState(const AttentionConfig& cfg)
+    : KvState(KvRow::kKeyValue, cfg.kv_dim(), cfg.kv_dim()) {
   cfg.validate();
 }
 
+KvState::KvState(KvRow kind, int first, int second)
+    : kind_(kind), first_(first), dim_(first + second) {}
+
 void KvState::clear() {
   tokens_ = 0;
-  keys_.clear();
-  values_.clear();
+  data_.clear();
 }
 
-void KvState::append(std::span<const float> k, std::span<const float> v) {
-  MIB_ENSURE(kv_dim_ > 0, "KvState not initialized");
-  MIB_ENSURE(k.size() == static_cast<std::size_t>(kv_dim_) &&
-                 v.size() == static_cast<std::size_t>(kv_dim_),
+void KvState::append(std::span<const float> first,
+                     std::span<const float> second) {
+  MIB_ENSURE(dim_ > 0, "KvState not initialized");
+  MIB_ENSURE(first.size() == static_cast<std::size_t>(first_) &&
+                 first.size() + second.size() ==
+                     static_cast<std::size_t>(dim_),
              "KV row size mismatch");
-  keys_.insert(keys_.end(), k.begin(), k.end());
-  values_.insert(values_.end(), v.begin(), v.end());
+  data_.insert(data_.end(), first.begin(), first.end());
+  data_.insert(data_.end(), second.begin(), second.end());
   ++tokens_;
 }
 
@@ -43,24 +47,39 @@ void KvState::truncate(int tokens) {
   MIB_ENSURE(tokens >= 0 && tokens <= tokens_,
              "cannot truncate to " << tokens << " of " << tokens_);
   tokens_ = tokens;
-  keys_.resize(static_cast<std::size_t>(tokens) * kv_dim_);
-  values_.resize(static_cast<std::size_t>(tokens) * kv_dim_);
+  data_.resize(static_cast<std::size_t>(tokens) * dim_);
 }
 
-std::span<const float> KvState::key(int pos) const {
+std::span<const float> KvState::row(int pos) const {
   MIB_ENSURE(pos >= 0 && pos < tokens_, "KV position out of range");
-  return {keys_.data() + static_cast<std::size_t>(pos) * kv_dim_,
-          static_cast<std::size_t>(kv_dim_)};
+  return {data_.data() + static_cast<std::size_t>(pos) * dim_,
+          static_cast<std::size_t>(dim_)};
 }
 
-std::span<const float> KvState::value(int pos) const {
-  MIB_ENSURE(pos >= 0 && pos < tokens_, "KV position out of range");
-  return {values_.data() + static_cast<std::size_t>(pos) * kv_dim_,
-          static_cast<std::size_t>(kv_dim_)};
+std::vector<double> rope_frequencies(int dim, float theta) {
+  std::vector<double> freqs(static_cast<std::size_t>(dim / 2));
+  for (int i = 0; i < dim / 2; ++i) {
+    freqs[i] = 1.0 / std::pow(theta, 2.0 * i / static_cast<double>(dim));
+  }
+  return freqs;
+}
+
+void apply_rope(std::span<float> row, int pos,
+                std::span<const double> freqs) {
+  for (std::size_t i = 0; i < freqs.size(); ++i) {
+    const double angle = pos * freqs[i];
+    const float cs = static_cast<float>(std::cos(angle));
+    const float sn = static_cast<float>(std::sin(angle));
+    const float a = row[2 * i];
+    const float b = row[2 * i + 1];
+    row[2 * i] = a * cs - b * sn;
+    row[2 * i + 1] = a * sn + b * cs;
+  }
 }
 
 Attention::Attention(AttentionConfig cfg, Rng& rng) : cfg_(cfg) {
   cfg_.validate();
+  rope_freqs_ = rope_frequencies(cfg_.head_dim, cfg_.rope_theta);
   const auto h = static_cast<std::size_t>(cfg_.hidden);
   const float scale = 1.0f / std::sqrt(static_cast<float>(cfg_.hidden));
   wq_ = Tensor::randn({static_cast<std::size_t>(cfg_.q_dim()), h}, rng,
@@ -73,30 +92,18 @@ Attention::Attention(AttentionConfig cfg, Rng& rng) : cfg_(cfg) {
                       1.0f / std::sqrt(static_cast<float>(cfg_.q_dim())));
 }
 
-void Attention::rope(std::span<float> head_row, int pos) const {
-  const int d = cfg_.head_dim;
-  for (int i = 0; i < d / 2; ++i) {
-    const double freq =
-        1.0 / std::pow(cfg_.rope_theta, 2.0 * i / static_cast<double>(d));
-    const double angle = pos * freq;
-    const float cs = static_cast<float>(std::cos(angle));
-    const float sn = static_cast<float>(std::sin(angle));
-    const float a = head_row[2 * i];
-    const float b = head_row[2 * i + 1];
-    head_row[2 * i] = a * cs - b * sn;
-    head_row[2 * i + 1] = a * sn + b * cs;
-  }
-}
-
 Tensor Attention::forward(const Tensor& x, KvState& kv, int start_pos) const {
   MIB_ENSURE(x.rank() == 2 &&
                  x.dim(1) == static_cast<std::size_t>(cfg_.hidden),
              "attention input must be [tokens, hidden]");
+  MIB_ENSURE(kv.holds(KvRow::kKeyValue, cfg_.kv_dim(), cfg_.kv_dim()),
+             "KV cache rows are not this attention's K/V rows");
   MIB_ENSURE(start_pos == kv.tokens(),
              "start_pos " << start_pos << " must equal cached tokens "
                           << kv.tokens());
   const std::size_t tokens = x.dim(0);
-  const int d = cfg_.head_dim;
+  const auto d = static_cast<std::size_t>(cfg_.head_dim);
+  const auto kv_dim = static_cast<std::size_t>(cfg_.kv_dim());
   const int group = cfg_.n_heads / cfg_.n_kv_heads;
   const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(d));
 
@@ -111,15 +118,11 @@ Tensor Attention::forward(const Tensor& x, KvState& kv, int start_pos) const {
     const int pos = start_pos + static_cast<int>(t);
     auto qrow = q.row(t);
     for (int hh = 0; hh < cfg_.n_heads; ++hh) {
-      rope(qrow.subspan(static_cast<std::size_t>(hh) * d,
-                        static_cast<std::size_t>(d)),
-           pos);
+      apply_rope(qrow.subspan(hh * d, d), pos, rope_freqs_);
     }
     auto krow = k.row(t);
     for (int hh = 0; hh < cfg_.n_kv_heads; ++hh) {
-      rope(krow.subspan(static_cast<std::size_t>(hh) * d,
-                        static_cast<std::size_t>(d)),
-           pos);
+      apply_rope(krow.subspan(hh * d, d), pos, rope_freqs_);
     }
     kv.append(krow, v.row(t));
   }
@@ -128,40 +131,21 @@ Tensor Attention::forward(const Tensor& x, KvState& kv, int start_pos) const {
   Tensor attn_out({tokens, static_cast<std::size_t>(cfg_.q_dim())});
   std::vector<float> scores;
   for (std::size_t t = 0; t < tokens; ++t) {
-    const int ctx = start_pos + static_cast<int>(t) + 1;
-    scores.resize(ctx);
-    auto qrow = q.row(t);
-    auto orow = attn_out.row(t);
+    scores.resize(start_pos + t + 1);
     for (int hh = 0; hh < cfg_.n_heads; ++hh) {
-      const int kv_head = hh / group;
-      const auto qh = qrow.subspan(static_cast<std::size_t>(hh) * d,
-                                   static_cast<std::size_t>(d));
-      // scores = q . k / sqrt(d)
-      float mx = -1e30f;
-      for (int p = 0; p < ctx; ++p) {
-        const auto kh = kv.key(p).subspan(
-            static_cast<std::size_t>(kv_head) * d,
-            static_cast<std::size_t>(d));
+      const std::size_t kv_off = static_cast<std::size_t>(hh / group) * d;
+      const auto qh = q.row(t).subspan(hh * d, d);
+      const auto score = [&](int p) {
+        const auto kh = kv.row(p).subspan(kv_off, d);
         float s = 0.0f;
-        for (int i = 0; i < d; ++i) s += qh[i] * kh[i];
-        scores[p] = s * inv_sqrt_d;
-        mx = std::max(mx, scores[p]);
-      }
-      float denom = 0.0f;
-      for (int p = 0; p < ctx; ++p) {
-        scores[p] = std::exp(scores[p] - mx);
-        denom += scores[p];
-      }
-      auto oh = orow.subspan(static_cast<std::size_t>(hh) * d,
-                             static_cast<std::size_t>(d));
-      std::fill(oh.begin(), oh.end(), 0.0f);
-      for (int p = 0; p < ctx; ++p) {
-        const float w = scores[p] / denom;
-        const auto vh = kv.value(p).subspan(
-            static_cast<std::size_t>(kv_head) * d,
-            static_cast<std::size_t>(d));
-        for (int i = 0; i < d; ++i) oh[i] += w * vh[i];
-      }
+        for (std::size_t i = 0; i < d; ++i) s += qh[i] * kh[i];
+        return s;
+      };
+      const auto value = [&](int p) {
+        return kv.row(p).subspan(kv_dim + kv_off, d);
+      };
+      attend_head(scores, inv_sqrt_d, score, value,
+                  attn_out.row(t).subspan(hh * d, d));
     }
   }
 

@@ -1,6 +1,5 @@
 #include "moe/mla.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
@@ -17,38 +16,9 @@ void MlaConfig::validate() const {
   MIB_ENSURE(rope_theta > 0, "rope_theta must be positive");
 }
 
-MlaKvState::MlaKvState(const MlaConfig& cfg) : dim_(cfg.cache_dim()) {
-  cfg.validate();
-}
-
-void MlaKvState::clear() {
-  tokens_ = 0;
-  data_.clear();
-}
-
-void MlaKvState::append(std::span<const float> latent_and_rope) {
-  MIB_ENSURE(dim_ > 0, "MlaKvState not initialized");
-  MIB_ENSURE(latent_and_rope.size() == static_cast<std::size_t>(dim_),
-             "MLA cache row size mismatch");
-  data_.insert(data_.end(), latent_and_rope.begin(), latent_and_rope.end());
-  ++tokens_;
-}
-
-void MlaKvState::truncate(int tokens) {
-  MIB_ENSURE(tokens >= 0 && tokens <= tokens_,
-             "cannot truncate to " << tokens << " of " << tokens_);
-  tokens_ = tokens;
-  data_.resize(static_cast<std::size_t>(tokens) * dim_);
-}
-
-std::span<const float> MlaKvState::entry(int pos) const {
-  MIB_ENSURE(pos >= 0 && pos < tokens_, "MLA cache position out of range");
-  return {data_.data() + static_cast<std::size_t>(pos) * dim_,
-          static_cast<std::size_t>(dim_)};
-}
-
 MlaAttention::MlaAttention(MlaConfig cfg, Rng& rng) : cfg_(cfg) {
   cfg_.validate();
+  rope_freqs_ = rope_frequencies(cfg_.rope_dim, cfg_.rope_theta);
   const auto h = static_cast<std::size_t>(cfg_.hidden);
   const auto qd = static_cast<std::size_t>(cfg_.n_heads * cfg_.head_dim);
   const auto qr = static_cast<std::size_t>(cfg_.n_heads * cfg_.rope_dim);
@@ -66,32 +36,19 @@ MlaAttention::MlaAttention(MlaConfig cfg, Rng& rng) : cfg_(cfg) {
                       1.0f / std::sqrt(static_cast<float>(qd)));
 }
 
-void MlaAttention::rope(std::span<float> row, int pos) const {
-  const int d = static_cast<int>(row.size());
-  for (int i = 0; i < d / 2; ++i) {
-    const double freq =
-        1.0 / std::pow(cfg_.rope_theta, 2.0 * i / static_cast<double>(d));
-    const double angle = pos * freq;
-    const float cs = static_cast<float>(std::cos(angle));
-    const float sn = static_cast<float>(std::sin(angle));
-    const float a = row[2 * i];
-    const float b = row[2 * i + 1];
-    row[2 * i] = a * cs - b * sn;
-    row[2 * i + 1] = a * sn + b * cs;
-  }
-}
-
-Tensor MlaAttention::forward(const Tensor& x, MlaKvState& kv,
+Tensor MlaAttention::forward(const Tensor& x, KvState& kv,
                              int start_pos) const {
   MIB_ENSURE(x.rank() == 2 &&
                  x.dim(1) == static_cast<std::size_t>(cfg_.hidden),
              "MLA input must be [tokens, hidden]");
+  MIB_ENSURE(kv.holds(KvRow::kLatentRopeKey, cfg_.kv_rank, cfg_.rope_dim),
+             "KV cache rows are not this MLA layer's latent rows");
   MIB_ENSURE(start_pos == kv.tokens(),
              "start_pos must equal cached tokens");
   const std::size_t tokens = x.dim(0);
-  const int d = cfg_.head_dim;
-  const int rd = cfg_.rope_dim;
-  const int r = cfg_.kv_rank;
+  const auto d = static_cast<std::size_t>(cfg_.head_dim);
+  const auto rd = static_cast<std::size_t>(cfg_.rope_dim);
+  const auto r = static_cast<std::size_t>(cfg_.kv_rank);
   const float inv_sqrt = 1.0f / std::sqrt(static_cast<float>(d + rd));
 
   Tensor q_nope, q_rope, latent, k_rope;
@@ -102,78 +59,57 @@ Tensor MlaAttention::forward(const Tensor& x, MlaKvState& kv,
 
   // RoPE the query rope-part per head and the shared rope key; cache
   // (latent, rope key).
-  std::vector<float> cache_row(static_cast<std::size_t>(r + rd));
   for (std::size_t t = 0; t < tokens; ++t) {
     const int pos = start_pos + static_cast<int>(t);
     auto qr_row = q_rope.row(t);
     for (int hh = 0; hh < cfg_.n_heads; ++hh) {
-      rope(qr_row.subspan(static_cast<std::size_t>(hh) * rd,
-                          static_cast<std::size_t>(rd)),
-           pos);
+      apply_rope(qr_row.subspan(hh * rd, rd), pos, rope_freqs_);
     }
-    auto kr = k_rope.row(t);
-    rope(kr, pos);
-    auto lat = latent.row(t);
-    std::copy(lat.begin(), lat.end(), cache_row.begin());
-    std::copy(kr.begin(), kr.end(), cache_row.begin() + r);
-    kv.append(cache_row);
+    apply_rope(k_rope.row(t), pos, rope_freqs_);
+    kv.append(latent.row(t), k_rope.row(t));
   }
 
-  const auto qd = static_cast<std::size_t>(cfg_.n_heads) * d;
-  Tensor attn_out({tokens, qd});
+  Tensor attn_out({tokens, static_cast<std::size_t>(cfg_.n_heads) * d});
   std::vector<float> scores;
-  std::vector<float> k_head(static_cast<std::size_t>(d));
-  std::vector<float> v_head(static_cast<std::size_t>(d));
+  std::vector<float> v_head(d);
   for (std::size_t t = 0; t < tokens; ++t) {
-    const int ctx = start_pos + static_cast<int>(t) + 1;
-    scores.resize(ctx);
-    auto orow = attn_out.row(t);
+    scores.resize(start_pos + t + 1);
     for (int hh = 0; hh < cfg_.n_heads; ++hh) {
-      const auto qn = q_nope.row(t).subspan(
-          static_cast<std::size_t>(hh) * d, static_cast<std::size_t>(d));
-      const auto qr = q_rope.row(t).subspan(
-          static_cast<std::size_t>(hh) * rd, static_cast<std::size_t>(rd));
-      float mx = -1e30f;
-      for (int p = 0; p < ctx; ++p) {
-        const auto entry = kv.entry(p);
-        const auto lat = entry.subspan(0, static_cast<std::size_t>(r));
-        const auto kr = entry.subspan(static_cast<std::size_t>(r),
-                                      static_cast<std::size_t>(rd));
+      const auto qn = q_nope.row(t).subspan(hh * d, d);
+      const auto qr = q_rope.row(t).subspan(hh * rd, rd);
+      // Row i of the head's slice of an up-projection [H*d, r].
+      const auto up_row = [&](const Tensor& w, std::size_t i) {
+        return w.data() + (hh * d + i) * r;
+      };
+      const auto score = [&](int p) {
+        const auto row = kv.row(p);
+        const auto lat = row.subspan(0, r);
+        const auto kr = row.subspan(r, rd);
         // K(nope) head = W_uk[head rows] · latent.
         float s = 0.0f;
-        for (int i = 0; i < d; ++i) {
-          const float* wrow =
-              w_uk_.data() +
-              (static_cast<std::size_t>(hh) * d + i) * static_cast<std::size_t>(r);
+        for (std::size_t i = 0; i < d; ++i) {
+          const float* wrow = up_row(w_uk_, i);
           float ki = 0.0f;
-          for (int j = 0; j < r; ++j) ki += wrow[j] * lat[j];
+          for (std::size_t j = 0; j < r; ++j) ki += wrow[j] * lat[j];
           s += qn[i] * ki;
         }
         // Shared rope-key term.
-        for (int j = 0; j < rd; ++j) s += qr[j] * kr[j];
-        scores[p] = s * inv_sqrt;
-        mx = std::max(mx, scores[p]);
-      }
-      float denom = 0.0f;
-      for (int p = 0; p < ctx; ++p) {
-        scores[p] = std::exp(scores[p] - mx);
-        denom += scores[p];
-      }
-      auto oh = orow.subspan(static_cast<std::size_t>(hh) * d,
-                             static_cast<std::size_t>(d));
-      std::fill(oh.begin(), oh.end(), 0.0f);
-      for (int p = 0; p < ctx; ++p) {
-        const float w = scores[p] / denom;
-        const auto lat = kv.entry(p).subspan(0, static_cast<std::size_t>(r));
-        for (int i = 0; i < d; ++i) {
-          const float* wrow =
-              w_uv_.data() +
-              (static_cast<std::size_t>(hh) * d + i) * static_cast<std::size_t>(r);
+        for (std::size_t j = 0; j < rd; ++j) s += qr[j] * kr[j];
+        return s;
+      };
+      // V head = W_uv[head rows] · latent.
+      const auto value = [&](int p) {
+        const auto lat = kv.row(p).subspan(0, r);
+        for (std::size_t i = 0; i < d; ++i) {
+          const float* wrow = up_row(w_uv_, i);
           float vi = 0.0f;
-          for (int j = 0; j < r; ++j) vi += wrow[j] * lat[j];
-          oh[i] += w * vi;
+          for (std::size_t j = 0; j < r; ++j) vi += wrow[j] * lat[j];
+          v_head[i] = vi;
         }
-      }
+        return std::span<const float>(v_head);
+      };
+      attend_head(scores, inv_sqrt, score, value,
+                  attn_out.row(t).subspan(hh * d, d));
     }
   }
 

@@ -4,10 +4,13 @@
 //   c_t  = W_dkv · x_t                (latent, rank r)
 //   k_t^R = RoPE(W_kr · x_t)          (decoupled shared rope key)
 //   K_t  = W_uk · c_t,  V_t = W_uv · c_t   (reconstructed at attention time)
-// The cache stores only (c_t, k_t^R): r + rope_dim floats per token per
-// layer — the compression the engine's memory model charges for
-// DeepSeek-V2-Lite and the VL2 family. This functional implementation lets
-// tests verify (a) incremental == full recompute, (b) the cache really is
+// Its KvState rows (KvRow::kLatentRopeKey) hold only c_t then k_t^R:
+// r + rope_dim floats per token per layer — the compression the engine's
+// memory model charges for DeepSeek-V2-Lite and the VL2 family. RoPE, the
+// per-head softmax step and the cache type are the ones Attention uses
+// (moe/attention.h); MLA supplies only how a score and a value row are
+// formed from a cached latent. This functional implementation lets tests
+// verify (a) incremental == full recompute, (b) the cache really is
 // smaller than MHA's, and (c) reconstruction round-trips the latent.
 #pragma once
 
@@ -15,6 +18,7 @@
 
 #include "common/rng.h"
 #include "common/tensor.h"
+#include "moe/attention.h"
 
 namespace mib::moe {
 
@@ -31,44 +35,21 @@ struct MlaConfig {
   int cache_dim() const { return kv_rank + rope_dim; }
 };
 
-/// Latent cache: [tokens, kv_rank + rope_dim].
-class MlaKvState {
- public:
-  MlaKvState() = default;
-  explicit MlaKvState(const MlaConfig& cfg);
-
-  int tokens() const { return tokens_; }
-  void clear();
-  void append(std::span<const float> latent_and_rope);
-  std::span<const float> entry(int pos) const;
-
-  /// Bytes held (fp32 storage), for the compression assertion.
-  std::size_t bytes() const { return data_.size() * sizeof(float); }
-
-  /// Roll back to `tokens` positions.
-  void truncate(int tokens);
-
- private:
-  int dim_ = 0;
-  int tokens_ = 0;
-  std::vector<float> data_;
-};
-
-class MlaAttention {
+class MlaAttention : public AttentionLayer {
  public:
   MlaAttention(MlaConfig cfg, Rng& rng);
 
   const MlaConfig& config() const { return cfg_; }
 
-  /// Causal forward of x [tokens, hidden] continuing `kv` at start_pos.
-  Tensor forward(const Tensor& x, MlaKvState& kv, int start_pos) const;
-
-  std::size_t param_count() const;
+  Tensor forward(const Tensor& x, KvState& kv, int start_pos) const override;
+  KvState new_cache() const override {
+    return KvState(KvRow::kLatentRopeKey, cfg_.kv_rank, cfg_.rope_dim);
+  }
+  std::size_t param_count() const override;
 
  private:
-  void rope(std::span<float> row, int pos) const;
-
   MlaConfig cfg_;
+  std::vector<double> rope_freqs_;  // [rope_dim / 2]
   Tensor wq_nope_;  // [n_heads*head_dim, hidden]  (query, content part)
   Tensor wq_rope_;  // [n_heads*rope_dim, hidden]  (query, rope part)
   Tensor w_dkv_;    // [kv_rank, hidden]           (latent down-projection)

@@ -63,22 +63,24 @@ void MoELayer::add_shared(const Tensor& x, Tensor& y) const {
   }
 }
 
-Tensor MoELayer::forward_staged(const Tensor& x) {
+MoELayer::Assignment MoELayer::gather_lists(const Tensor& x) {
   MIB_ENSURE(x.rank() == 2 && x.dim(1) == static_cast<std::size_t>(cfg_.hidden),
              "MoE input must be [tokens, hidden]");
   const auto routes = router_->route(x);
-  Tensor y = Tensor::zeros({x.dim(0), x.dim(1)});
-
-  // Stage 1: per-expert gather lists (what the unfused GPU path builds on
-  // the host before launching one kernel per expert).
-  std::vector<std::vector<std::pair<std::size_t, float>>> assignment(
-      experts_.size());
+  Assignment assignment(experts_.size());
   for (std::size_t t = 0; t < routes.size(); ++t) {
     const TokenRoute& r = routes[t];
     for (std::size_t j = 0; j < r.experts.size(); ++j) {
       assignment[r.experts[j]].push_back({t, r.weights[j]});
     }
   }
+  return assignment;
+}
+
+Tensor MoELayer::forward_staged(const Tensor& x) {
+  // Stage 1: per-expert gather lists.
+  const Assignment assignment = gather_lists(x);
+  Tensor y = Tensor::zeros({x.dim(0), x.dim(1)});
 
   // Stage 2: run experts one after another; scatter-add each result.
   std::vector<float> out(cfg_.hidden);
@@ -95,19 +97,8 @@ Tensor MoELayer::forward_staged(const Tensor& x) {
 }
 
 Tensor MoELayer::forward_fused(const Tensor& x, ThreadPool* pool) {
-  MIB_ENSURE(x.rank() == 2 && x.dim(1) == static_cast<std::size_t>(cfg_.hidden),
-             "MoE input must be [tokens, hidden]");
-  const auto routes = router_->route(x);
+  const Assignment assignment = gather_lists(x);
   Tensor y = Tensor::zeros({x.dim(0), x.dim(1)});
-
-  std::vector<std::vector<std::pair<std::size_t, float>>> assignment(
-      experts_.size());
-  for (std::size_t t = 0; t < routes.size(); ++t) {
-    const TokenRoute& r = routes[t];
-    for (std::size_t j = 0; j < r.experts.size(); ++j) {
-      assignment[r.experts[j]].push_back({t, r.weights[j]});
-    }
-  }
 
   // One grouped pass: experts execute concurrently; each expert owns the
   // rows of every token assigned to it. Writes race only if a token's two

@@ -65,6 +65,13 @@ class MoELayer {
   void sync_ffn_from_experts();
 
  private:
+  /// Per expert, the (token, weight) pairs routed to it.
+  using Assignment = std::vector<std::vector<std::pair<std::size_t, float>>>;
+
+  /// Route x [tokens, hidden] once and build every expert's gather list
+  /// (what the unfused GPU path builds on the host before its launches).
+  Assignment gather_lists(const Tensor& x);
+
   /// Combine shared-expert output into y (shared experts always run).
   void add_shared(const Tensor& x, Tensor& y) const;
 

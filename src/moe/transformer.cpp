@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.h"
+#include "moe/mla.h"
 
 namespace mib::moe {
 
@@ -28,7 +29,6 @@ void TransformerConfig::validate() const {
 
 void Session::clear() {
   for (auto& kv : kv_) kv.clear();
-  for (auto& kv : mla_kv_) kv.clear();
   position_ = 0;
 }
 
@@ -37,13 +37,11 @@ void Session::truncate(int position) {
              "cannot truncate session to " << position << " of "
                                            << position_);
   for (auto& kv : kv_) kv.truncate(position);
-  for (auto& kv : mla_kv_) kv.truncate(position);
   position_ = position;
 }
 
 std::size_t Session::kv_bytes() const {
   std::size_t b = 0;
-  for (const auto& kv : mla_kv_) b += kv.bytes();
   for (const auto& kv : kv_) b += kv.bytes();
   return b;
 }
@@ -66,7 +64,7 @@ Transformer::Transformer(TransformerConfig cfg, std::uint64_t seed)
     if (cfg_.use_mla) {
       MlaConfig mc{cfg_.hidden, cfg_.n_heads, cfg_.head_dim,
                    cfg_.mla_kv_rank, cfg_.mla_rope_dim};
-      b.mla = std::make_unique<MlaAttention>(mc, layer_rng);
+      b.attention = std::make_unique<MlaAttention>(mc, layer_rng);
     } else {
       AttentionConfig ac{cfg_.hidden, cfg_.n_heads, cfg_.n_kv_heads,
                          cfg_.head_dim};
@@ -92,24 +90,14 @@ Transformer::Transformer(TransformerConfig cfg, std::uint64_t seed)
 
 Session Transformer::new_session() const {
   Session s;
-  if (cfg_.use_mla) {
-    MlaConfig mc{cfg_.hidden, cfg_.n_heads, cfg_.head_dim, cfg_.mla_kv_rank,
-                 cfg_.mla_rope_dim};
-    s.mla_kv_.assign(cfg_.n_layers, MlaKvState(mc));
-  } else {
-    AttentionConfig ac{cfg_.hidden, cfg_.n_heads, cfg_.n_kv_heads,
-                       cfg_.head_dim};
-    s.kv_.assign(cfg_.n_layers, KvState(ac));
-  }
+  for (const auto& b : blocks_) s.kv_.push_back(b.attention->new_cache());
   return s;
 }
 
 Tensor Transformer::forward(const std::vector<int>& token_ids,
                             Session& session) const {
   MIB_ENSURE(!token_ids.empty(), "forward needs at least one token");
-  const auto& caches = cfg_.use_mla ? session.mla_kv_.size()
-                                    : session.kv_.size();
-  MIB_ENSURE(caches == static_cast<std::size_t>(cfg_.n_layers),
+  MIB_ENSURE(session.kv_.size() == blocks_.size(),
              "session does not belong to this model");
   const std::size_t tokens = token_ids.size();
   const auto h = static_cast<std::size_t>(cfg_.hidden);
@@ -127,14 +115,9 @@ Tensor Transformer::forward(const std::vector<int>& token_ids,
     auto& b = blocks_[static_cast<std::size_t>(l)];
     Tensor normed = x;
     b.attn_norm->apply(normed);
-    const Tensor attn =
-        cfg_.use_mla
-            ? b.mla->forward(normed,
-                             session.mla_kv_[static_cast<std::size_t>(l)],
-                             start)
-            : b.attention->forward(
-                  normed, session.kv_[static_cast<std::size_t>(l)], start);
-    add_inplace(x, attn);
+    add_inplace(x, b.attention->forward(
+                       normed, session.kv_[static_cast<std::size_t>(l)],
+                       start));
 
     Tensor ffn_in = x;
     b.ffn_norm->apply(ffn_in);
@@ -191,7 +174,7 @@ MoELayer& Transformer::moe_layer(int layer) {
 std::size_t Transformer::param_count() const {
   std::size_t p = embedding_.size() + lm_head_.size();
   for (const auto& b : blocks_) {
-    p += cfg_.use_mla ? b.mla->param_count() : b.attention->param_count();
+    p += b.attention->param_count();
     p += 2u * static_cast<std::size_t>(cfg_.hidden);  // norms
     if (b.moe) {
       p += b.moe->total_params();

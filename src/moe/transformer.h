@@ -3,6 +3,10 @@
 // This is the functional counterpart of the serving simulator: embedding
 // -> N x (RMSNorm -> attention+KV cache -> RMSNorm -> MoE/dense FFN) ->
 // final norm -> LM head, with incremental decoding and greedy sampling.
+// Every block's attention is MHA/GQA or, with use_mla, MLA; the choice is
+// made once, when the blocks are built. A Session holds one KvState per
+// layer whose rows are that attention's: K then V for MHA/GQA, the latent
+// then the shared rope key for MLA (moe/attention.h).
 // It exists so the suite's claims rest on a running system: tests verify
 // that incremental decode with the KV cache reproduces full-sequence
 // recomputation bit-for-bit (to float tolerance), that causality holds,
@@ -14,7 +18,6 @@
 #include <vector>
 
 #include "moe/attention.h"
-#include "moe/mla.h"
 #include "moe/moe_layer.h"
 
 namespace mib::moe {
@@ -59,8 +62,7 @@ class Session {
 
  private:
   friend class Transformer;
-  std::vector<KvState> kv_;        // MHA/GQA caches
-  std::vector<MlaKvState> mla_kv_; // MLA latent caches
+  std::vector<KvState> kv_;  // one per layer
   int position_ = 0;
 };
 
@@ -91,8 +93,7 @@ class Transformer {
  private:
   struct Block {
     std::unique_ptr<RmsNorm> attn_norm;
-    std::unique_ptr<Attention> attention;   // MHA/GQA (or null when MLA)
-    std::unique_ptr<MlaAttention> mla;      // MLA (or null)
+    std::unique_ptr<AttentionLayer> attention;  // MHA/GQA or MLA
     std::unique_ptr<RmsNorm> ffn_norm;
     std::unique_ptr<MoELayer> moe;      // one of moe / dense is set
     std::unique_ptr<Expert> dense_ffn;  // dense FFN reuses the Expert math

@@ -14,9 +14,9 @@ void VisionEncoderConfig::validate() const {
   MIB_ENSURE(hidden > 0 && llm_hidden > 0, "positive widths required");
   MIB_ENSURE(n_layers >= 1, "need at least one block");
   MIB_ENSURE(mlp_dim > 0, "positive MLP dim required");
-  AttentionConfig ac{hidden, n_heads, n_heads, hidden / n_heads};
+  MIB_ENSURE(n_heads > 0, "n_heads must be positive");
   MIB_ENSURE(hidden % n_heads == 0, "hidden must divide by heads");
-  ac.validate();
+  attention().validate();
 }
 
 VisionEncoder::VisionEncoder(VisionEncoderConfig cfg, std::uint64_t seed)
@@ -30,13 +30,11 @@ VisionEncoder::VisionEncoder(VisionEncoderConfig cfg, std::uint64_t seed)
   pos_embed_ = Tensor::randn(
       {static_cast<std::size_t>(cfg_.n_patches()), h}, rng, 0.02f);
 
-  AttentionConfig ac{cfg_.hidden, cfg_.n_heads, cfg_.n_heads,
-                     cfg_.hidden / cfg_.n_heads};
   blocks_.resize(cfg_.n_layers);
   for (auto& b : blocks_) {
     Rng layer_rng = rng.split();
     b.attn_norm = std::make_unique<RmsNorm>(cfg_.hidden);
-    b.attention = std::make_unique<Attention>(ac, layer_rng);
+    b.attention = std::make_unique<Attention>(cfg_.attention(), layer_rng);
     b.mlp_norm = std::make_unique<RmsNorm>(cfg_.hidden);
     b.mlp = std::make_unique<Expert>(cfg_.hidden, cfg_.mlp_dim, layer_rng);
   }
@@ -52,8 +50,7 @@ Tensor VisionEncoder::self_attention(const Attention& attn,
   // running it twice — forward and on the reversed sequence — and averaging:
   // every token then attends over the full set. This keeps one attention
   // implementation while matching the bidirectional receptive field.
-  KvState kv_fwd(AttentionConfig{cfg_.hidden, cfg_.n_heads, cfg_.n_heads,
-                                 cfg_.hidden / cfg_.n_heads});
+  KvState kv_fwd = attn.new_cache();
   const Tensor fwd = attn.forward(x, kv_fwd, 0);
 
   const std::size_t n = x.dim(0);
@@ -62,8 +59,7 @@ Tensor VisionEncoder::self_attention(const Attention& attn,
     const auto src = x.row(n - 1 - t);
     std::copy(src.begin(), src.end(), rev.row(t).begin());
   }
-  KvState kv_rev(AttentionConfig{cfg_.hidden, cfg_.n_heads, cfg_.n_heads,
-                                 cfg_.hidden / cfg_.n_heads});
+  KvState kv_rev = attn.new_cache();
   const Tensor bwd = attn.forward(rev, kv_rev, 0);
 
   Tensor out({n, x.dim(1)});

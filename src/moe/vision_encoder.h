@@ -30,6 +30,10 @@ struct VisionEncoderConfig {
   int patches_per_side() const { return image_size / patch_size; }
   int n_patches() const { return patches_per_side() * patches_per_side(); }
   int patch_dim() const { return channels * patch_size * patch_size; }
+  /// Every block's attention: MHA with hidden / n_heads wide heads.
+  AttentionConfig attention() const {
+    return {hidden, n_heads, n_heads, hidden / n_heads};
+  }
 };
 
 class VisionEncoder {

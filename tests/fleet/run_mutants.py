@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-r"""Mutation score of the fleet and engine test suites.
+r"""Mutation score of the fleet, engine and functional MoE test suites.
 
     python3 tests/fleet/run_mutants.py [--work DIR] [--jobs N] [--only 1,4-6]
     python3 tests/fleet/run_mutants.py --check
@@ -9,13 +9,14 @@ one mutant. A `\n` in a cell stands for a line break, so a row can take in
 the next line where its own line occurs more than once. `--check` only
 verifies, without building, that each row's original text occurs exactly
 once in the checkout. Otherwise the script copies the source tree into a work
-directory once, builds `mib_test_fleet` and `mib_test_engine` there, and
-checks that both pass unmutated. Then, one mutant at a time, it replaces
-the original text (which must occur exactly once in its file), rebuilds
-the two test binaries incrementally, runs them, and restores the file.
+directory once, builds `mib_test_fleet`, `mib_test_engine` and
+`mib_test_moe` there, and checks that all three pass unmutated. Then, one
+mutant at a time, it replaces the original text (which must occur exactly
+once in its file), rebuilds the test binaries incrementally, runs them, and
+restores the file.
 
-A mutant is killed when either binary fails or exceeds --timeout seconds,
-and survives when both pass. A mutant that does not compile is reported
+A mutant is killed when any binary fails or exceeds --timeout seconds,
+and survives when all pass. A mutant that does not compile is reported
 as such and left out of the score. The checkout itself is never modified.
 It takes about a minute per mutant on 4 cores, so only `--check` runs in
 CI.
@@ -29,7 +30,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-TARGETS = ["mib_test_fleet", "mib_test_engine"]
+TARGETS = ["mib_test_fleet", "mib_test_engine", "mib_test_moe"]
 COPIED = ["CMakeLists.txt", "src", "tests", "bench", "examples"]
 
 

@@ -35,9 +35,10 @@ TEST(KvState, AppendAndRead) {
   std::vector<float> k(32, 1.0f), v(32, 2.0f);
   kv.append(k, v);
   EXPECT_EQ(kv.tokens(), 1);
-  EXPECT_EQ(kv.key(0)[0], 1.0f);
-  EXPECT_EQ(kv.value(0)[0], 2.0f);
-  EXPECT_THROW(kv.key(1), Error);
+  ASSERT_EQ(kv.row(0).size(), 64u);  // K then V
+  EXPECT_EQ(kv.row(0)[0], 1.0f);
+  EXPECT_EQ(kv.row(0)[32], 2.0f);
+  EXPECT_THROW(kv.row(1), Error);
   kv.clear();
   EXPECT_EQ(kv.tokens(), 0);
 }
@@ -117,12 +118,13 @@ TEST(Attention, RopeEncodesPositionIntoCachedKeys) {
 
   KvState kv(cfg());
   attn.forward(two, kv, 0);
+  const auto key = [&](int p) { return kv.row(p).first(32); };
+  const auto value = [&](int p) { return kv.row(p).subspan(32); };
   float key_diff = 0.0f, value_diff = 0.0f, key_norm = 0.0f;
-  for (std::size_t j = 0; j < kv.key(0).size(); ++j) {
-    key_diff = std::max(key_diff, std::abs(kv.key(0)[j] - kv.key(1)[j]));
-    value_diff =
-        std::max(value_diff, std::abs(kv.value(0)[j] - kv.value(1)[j]));
-    key_norm = std::max(key_norm, std::abs(kv.key(0)[j]));
+  for (std::size_t j = 0; j < key(0).size(); ++j) {
+    key_diff = std::max(key_diff, std::abs(key(0)[j] - key(1)[j]));
+    value_diff = std::max(value_diff, std::abs(value(0)[j] - value(1)[j]));
+    key_norm = std::max(key_norm, std::abs(key(0)[j]));
   }
   EXPECT_GT(key_diff, 1e-4f * key_norm);
   EXPECT_EQ(value_diff, 0.0f);
@@ -130,7 +132,7 @@ TEST(Attention, RopeEncodesPositionIntoCachedKeys) {
   // And RoPE preserves per-pair norms (it is a rotation).
   for (int p : {0, 1}) {
     double norm = 0.0;
-    for (float v : kv.key(p)) norm += static_cast<double>(v) * v;
+    for (float v : key(p)) norm += static_cast<double>(v) * v;
     if (p == 0) key_norm = static_cast<float>(norm);
     if (p == 1) {
       EXPECT_NEAR(static_cast<float>(norm), key_norm, 1e-3f * key_norm);

@@ -30,22 +30,26 @@ TEST(MlaConfig, Validation) {
   EXPECT_EQ(cfg().cache_dim(), 12);
 }
 
-TEST(MlaKvState, AppendAndBytes) {
-  MlaKvState kv(cfg());
-  std::vector<float> row(12, 1.0f);
-  kv.append(row);
-  kv.append(row);
+TEST(KvState, LatentRowsAppendAndBytes) {
+  Rng rng(1);
+  KvState kv = MlaAttention(cfg(), rng).new_cache();
+  EXPECT_TRUE(kv.holds(KvRow::kLatentRopeKey, 8, 4));
+  std::vector<float> latent(8, 1.0f), rope_key(4, 1.0f);
+  kv.append(latent, rope_key);
+  kv.append(latent, rope_key);
   EXPECT_EQ(kv.tokens(), 2);
+  EXPECT_EQ(kv.row(1).size(), 12u);
   EXPECT_EQ(kv.bytes(), 2u * 12u * sizeof(float));
-  EXPECT_THROW(kv.entry(2), Error);
-  std::vector<float> bad(11, 0.0f);
-  EXPECT_THROW(kv.append(bad), Error);
+  EXPECT_THROW(kv.row(2), Error);
+  std::vector<float> bad(7, 0.0f);
+  EXPECT_THROW(kv.append(bad, rope_key), Error);
+  EXPECT_THROW(kv.append(latent, bad), Error);
 }
 
 TEST(MlaAttention, OutputShape) {
   Rng rng(1);
   MlaAttention attn(cfg(), rng);
-  MlaKvState kv(cfg());
+  KvState kv = attn.new_cache();
   const Tensor y = attn.forward(tokens(5, 32), kv, 0);
   EXPECT_EQ(y.dim(0), 5u);
   EXPECT_EQ(y.dim(1), 32u);
@@ -57,10 +61,10 @@ TEST(MlaAttention, IncrementalMatchesFullSequence) {
   MlaAttention attn(cfg(), rng);
   const Tensor x = tokens(6, 32, 9);
 
-  MlaKvState kv_full(cfg());
+  KvState kv_full = attn.new_cache();
   const Tensor full = attn.forward(x, kv_full, 0);
 
-  MlaKvState kv_inc(cfg());
+  KvState kv_inc = attn.new_cache();
   for (std::size_t t = 0; t < 6; ++t) {
     Tensor one({1, 32});
     std::copy(x.row(t).begin(), x.row(t).end(), one.row(0).begin());
@@ -77,7 +81,7 @@ TEST(MlaAttention, CausalityHolds) {
   Tensor a = tokens(4, 32, 11);
   Tensor b = a;
   for (auto& v : b.row(3)) v += 1.0f;
-  MlaKvState kva(cfg()), kvb(cfg());
+  KvState kva = attn.new_cache(), kvb = attn.new_cache();
   const Tensor ya = attn.forward(a, kva, 0);
   const Tensor yb = attn.forward(b, kvb, 0);
   for (std::size_t t = 0; t < 3; ++t) {
@@ -101,7 +105,7 @@ TEST(MlaAttention, CacheSmallerThanMhaEquivalent) {
 TEST(MlaAttention, StartPosChecked) {
   Rng rng(4);
   MlaAttention attn(cfg(), rng);
-  MlaKvState kv(cfg());
+  KvState kv = attn.new_cache();
   attn.forward(tokens(2, 32), kv, 0);
   EXPECT_THROW(attn.forward(tokens(1, 32), kv, 0), Error);
   attn.forward(tokens(1, 32), kv, 2);
@@ -116,10 +120,10 @@ TEST(MlaAttention, PositionSensitivityViaRopeKey) {
   Tensor two({2, 32});
   std::copy(x.row(0).begin(), x.row(0).end(), two.row(0).begin());
   std::copy(x.row(0).begin(), x.row(0).end(), two.row(1).begin());
-  MlaKvState kv(cfg());
+  KvState kv = attn.new_cache();
   attn.forward(two, kv, 0);
-  const auto e0 = kv.entry(0);
-  const auto e1 = kv.entry(1);
+  const auto e0 = kv.row(0);
+  const auto e1 = kv.row(1);
   float lat_diff = 0.0f, rope_diff = 0.0f;
   for (int j = 0; j < 8; ++j) {
     lat_diff = std::max(lat_diff, std::abs(e0[j] - e1[j]));
@@ -151,7 +155,7 @@ TEST(MlaAttention, DiffersFromStandardAttention) {
   MlaAttention mla(cfg(), rng1);
   Attention mha(AttentionConfig{32, 4, 4, 8}, rng2);
   const Tensor x = tokens(3, 32, 17);
-  MlaKvState mkv(cfg());
+  KvState mkv = mla.new_cache();
   KvState kv(AttentionConfig{32, 4, 4, 8});
   const Tensor ym = mla.forward(x, mkv, 0);
   const Tensor ya = mha.forward(x, kv, 0);

@@ -100,6 +100,9 @@ TEST(VisionEncoder, InputValidation) {
   auto bad = cfg();
   bad.patch_size = 5;  // 16 % 5 != 0
   EXPECT_THROW(VisionEncoder(bad, 1), Error);
+  bad = cfg();
+  bad.n_heads = 0;  // rejected before hidden / n_heads is formed
+  EXPECT_THROW(VisionEncoder(bad, 1), Error);
 }
 
 TEST(VisionEncoder, EndToEndVlmPipeline) {
