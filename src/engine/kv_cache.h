@@ -2,9 +2,11 @@
 //
 // This is a functional allocator, not a cost formula: sequences own chains
 // of fixed-size token blocks drawn from a free list, so fragmentation-free
-// utilization and admission control can be tested directly. The engine uses
-// it to decide how many sequences fit concurrently (wave scheduling) and the
-// ablation bench contrasts paged vs. contiguous-reservation admission.
+// utilization and admission control can be tested directly. SimEngine does
+// not use it: its wave scheduling sizes waves with
+// MemoryModel::max_concurrent_seqs. The ablation benches (ablate_kvcache,
+// ablate_prefix_cache) contrast paged vs. contiguous-reservation admission
+// and measure prefix sharing with it.
 #pragma once
 
 #include <cstddef>

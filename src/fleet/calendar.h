@@ -1,22 +1,33 @@
-// Event calendar of the fleet loop: a min-heap of (time, kind, target)
-// entries that decides when the next pass of FleetSimulator::run happens
-// and which handlers and replicas that pass touches.
+// The two clocks of the fleet loop. The next pass of FleetSimulator::run
+// happens at the earliest of:
+//   * the event calendar: a min-heap of (time, kind, target) entries for
+//     timers and schedule edges whose state lives elsewhere (a replica's
+//     step end, a breaker deadline, a heartbeat, a view sync, a hedge
+//     trigger, client patience, an autoscaler tick);
+//   * the waiting queues: work parked until a wake time (retries, KV
+//     migrations, overlap-drain handoffs, router fail-overs), one
+//     WaitQueue each, and the next trace arrival, held in arrival order.
 //
-// Entries pop in (time, kind, target) order. `EventKind` lists the kinds
-// in the order the loop's handlers run within one pass, so entries due at
-// the same time reach their handlers in handler order, then target order.
+// Calendar entries pop in (time, kind, target) order. `EventKind` lists the
+// kinds in the order the loop's handlers run within one pass, so entries
+// due at the same time reach their handlers in handler order, then target
+// order.
 //
 // Owners never search the heap to move or cancel an entry: they push a new
 // one and leave the old one behind. The loop asks its `live` predicate
 // about the entry on top before it makes a pass, and an entry whose owner
 // has since moved or cancelled it is dropped there, so it never produces a
-// pass of its own.
+// pass of its own. A waiting queue holds its entries themselves, so an
+// entry removed from it is simply gone.
 #pragma once
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <limits>
+#include <map>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 namespace mib::fleet {
@@ -31,11 +42,6 @@ enum class EventKind : unsigned char {
   kViewSync,         ///< target router's view-sync deadline
   kPlaneEdge,        ///< router fault, partition or quorum-fence edge
   kStepEnd,          ///< target replica's engine step ends
-  kHandoff,          ///< overlap-drain cutover of request target
-  kMigration,        ///< KV migration of request target lands
-  kArrival,          ///< the next trace arrival
-  kRetry,            ///< parked dispatch of request target is due
-  kRouterFailover,   ///< request target's client fail-over lag expires
   kHedge,            ///< hedge trigger of request target
   kClientRetry,      ///< client patience of request target expires
   kAutoscale,        ///< autoscaler tick
@@ -44,7 +50,7 @@ enum class EventKind : unsigned char {
 
 struct Event {
   double time = 0.0;
-  EventKind kind = EventKind::kArrival;
+  EventKind kind = EventKind::kHeartbeat;
   int target = -1;  ///< replica, router or request id; -1 when none
 
   bool operator<(const Event& o) const {
@@ -110,6 +116,55 @@ class Calendar {
   }
 
   std::vector<Event> heap_;
+};
+
+/// Work of type T parked until a wake time, in (wake time, request id)
+/// order; entries with equal keys keep the order they were parked in.
+template <typename T>
+class WaitQueue {
+ public:
+  void park(double time, int id, T item) {
+    entries_.emplace(Key{time, id}, std::move(item));
+  }
+
+  /// Wake time of the first entry, or +infinity.
+  double next() const {
+    return entries_.empty() ? std::numeric_limits<double>::infinity()
+                            : entries_.begin()->first.first;
+  }
+
+  /// Remove and return every entry due at or before t, in queue order.
+  std::vector<T> take_due(double t) {
+    const auto end =
+        entries_.upper_bound(Key{t, std::numeric_limits<int>::max()});
+    std::vector<T> due;
+    for (auto it = entries_.begin(); it != end; ++it) {
+      due.push_back(std::move(it->second));
+    }
+    entries_.erase(entries_.begin(), end);
+    return due;
+  }
+
+  /// Visit every entry in queue order and remove those `drop` accepts;
+  /// `drop` may move out of an entry it accepts.
+  template <typename Drop>
+  void erase_if(Drop&& drop) {
+    for (auto it = entries_.begin(); it != entries_.end();) {
+      it = drop(it->second) ? entries_.erase(it) : std::next(it);
+    }
+  }
+
+  template <typename Pred>
+  bool any(Pred&& pred) const {
+    return std::any_of(entries_.begin(), entries_.end(),
+                       [&](const auto& e) { return pred(e.second); });
+  }
+
+  bool empty() const { return entries_.empty(); }
+
+ private:
+  using Key = std::pair<double, int>;
+  std::multimap<Key, T> entries_;
 };
 
 }  // namespace mib::fleet

@@ -155,47 +155,24 @@ int FleetSimulator::pool_size() const {
 
 namespace {
 
-/// Work parked until `ready_s`. `src` is the replica a KV transfer ships
-/// out of (drain-fabric severing aborts in-flight transfers whose source
-/// lands behind a cut); -1 for everything else. An overlap-drain handoff
-/// holds a snapshot of the running sequence, taken when the drain began
-/// at `since`: its KV copy completes at `ready_s`, and the delta decoded
-/// meanwhile is re-shipped at the cutover.
+/// Work parked in a WaitQueue until its wake time. `src` is the replica a
+/// KV transfer ships out of (drain-fabric severing aborts in-flight
+/// transfers whose source lands behind a cut); -1 for everything else. An
+/// overlap-drain handoff holds a snapshot of the running sequence, taken
+/// when the drain began at `since`: its KV copy completes at the wake time,
+/// and the delta decoded meanwhile is re-shipped at the cutover.
 struct Pending {
-  double ready_s = 0.0;
   Sequence seq;
   int src = -1;
   double since = 0.0;
 };
 
-/// Take the entries of a pending list that are due at `now`, in a
-/// deterministic order: list order, then stable-sorted by (time, id).
-std::vector<Pending> take_due(std::vector<Pending>& list, double now) {
-  const auto split =
-      std::stable_partition(list.begin(), list.end(),
-                            [&](const Pending& p) { return p.ready_s > now; });
-  std::vector<Pending> due(std::make_move_iterator(split),
-                           std::make_move_iterator(list.end()));
-  list.erase(split, list.end());
-  std::stable_sort(due.begin(), due.end(), [](const Pending& a,
-                                              const Pending& b) {
-    return std::make_pair(a.ready_s, a.seq.request_id) <
-           std::make_pair(b.ready_s, b.seq.request_id);
-  });
-  return due;
-}
-
-/// Whether `list` still holds the entry a calendar event was pushed for.
-bool holds(const std::vector<Pending>& list, const Event& e) {
-  return std::any_of(list.begin(), list.end(), [&](const Pending& p) {
-    return p.ready_s == e.time && p.seq.request_id == e.target;
-  });
-}
-
-/// One FleetSimulator::run: the fleet's state, the event calendar that
-/// decides when the next pass happens, and one handler per subsystem.
-/// Within a pass the handlers run in EventKind order; the timed ones visit
-/// only the replicas their due calendar entries name.
+/// One FleetSimulator::run: the fleet's state, the event calendar and the
+/// waiting queues that decide when the next pass happens, and one handler
+/// per subsystem. Within a pass the calendar's handlers run in EventKind
+/// order, and the waiting queues are served between step ends and hedge
+/// triggers; the timed handlers visit only the replicas their due calendar
+/// entries name.
 class FleetRun {
   using K = EventKind;
 
@@ -284,7 +261,6 @@ class FleetRun {
       const double t = plane.sync_deadline(r);
       if (std::isfinite(t)) cal.push(t, K::kViewSync, r);
     }
-    cal.push(blank[intake.front()].arrival_s, K::kArrival);
     if (cfg_.autoscaler.enabled) cal.push(next_tick, K::kAutoscale);
     for (int i = 0; !oracle && i < cfg_.n_replicas; ++i) resume(i);
   }
@@ -303,9 +279,9 @@ class FleetRun {
       on_partition_edge();
       on_step_ends();
       on_handoffs();
-      for (auto& p : take_due(migrations, now)) dispatch(std::move(p.seq));
+      for (auto& p : migrations.take_due(now)) dispatch(std::move(p.seq));
       on_arrivals();
-      for (auto& p : take_due(retries, now)) dispatch(std::move(p.seq));
+      for (auto& p : retries.take_due(now)) dispatch(std::move(p.seq));
       on_router_failovers();
       on_hedges();
       on_client_retries();
@@ -320,7 +296,7 @@ class FleetRun {
   }
 
  private:
-  // --- calendar ---
+  // --- calendar and waiting queues ---
 
   bool live(const Event& e) const {
     switch (e.kind) {
@@ -328,10 +304,6 @@ class FleetRun {
         return reps[e.target].mid_step() &&
                reps[e.target].step_end_s() == e.time;
       case K::kBreaker: return monitor.deadline(e.target) == e.time;
-      case K::kHandoff: return holds(handoffs, e);
-      case K::kMigration: return holds(migrations, e);
-      case K::kRetry: return holds(retries, e);
-      case K::kRouterFailover: return holds(router_pending, e);
       default: return true;
     }
   }
@@ -339,9 +311,10 @@ class FleetRun {
   /// Due targets of one kind in this pass.
   std::vector<int>& due(K kind) { return due_[static_cast<std::size_t>(kind)]; }
 
-  void park(std::vector<Pending>& list, K kind, Pending p) {
-    cal.push(p.ready_s, kind, p.seq.request_id);
-    list.push_back(std::move(p));
+  static void park(WaitQueue<Pending>& queue, double wake, Sequence seq,
+                   int src = -1, double since = 0.0) {
+    const int id = seq.request_id;
+    queue.park(wake, id, Pending{std::move(seq), src, since});
   }
 
   void arm_breaker(int i) {
@@ -373,8 +346,7 @@ class FleetRun {
       // have got there since the last pass.
       Replica& r = reps[i];
       if (overlap_drain[i] && !r.mid_step() && !r.has_work() &&
-          std::none_of(handoffs.begin(), handoffs.end(),
-                       [i](const Pending& h) { return h.src == i; })) {
+          !handoffs.any([i](const Pending& h) { return h.src == i; })) {
         overlap_drain[i] = false;
         r.take_all();  // empty already: leaves the node cold
       }
@@ -410,9 +382,16 @@ class FleetRun {
     }
   }
 
-  // --- 2. next event time: the calendar's earliest live entry ---
+  // --- 2. next pass: the calendar's earliest live entry, the next
+  // arrival, or the first entry of a waiting queue, whichever is first ---
   void advance_clock() {
-    const double t_next = cal.next([this](const Event& e) { return live(e); });
+    double t_next = cal.next([this](const Event& e) { return live(e); });
+    if (next_arrival < n) {
+      t_next = std::min(t_next, blank[intake[next_arrival]].arrival_s);
+    }
+    for (const auto* q : {&handoffs, &migrations, &retries, &router_pending}) {
+      t_next = std::min(t_next, q->next());
+    }
     MIB_ENSURE(std::isfinite(t_next), "fleet event loop stalled");
     MIB_ENSURE(t_next >= now - 1e-12, "fleet simulation time went backwards");
     prev_pass = now;
@@ -506,7 +485,7 @@ class FleetRun {
             MIB_ENSURE(!done[s.request_id],
                        "drained copy of a resolved request");
             cursor += ship_s(s.kv_tokens());
-            park(handoffs, K::kHandoff, Pending{cursor, s, i, now});
+            park(handoffs, cursor, s, i, now);
           }
         } else {
           for (auto& s : reps[i].take_all()) drain_one(std::move(s));
@@ -517,10 +496,7 @@ class FleetRun {
           // in-flight snapshots, freeze what is still on the source, and
           // ship it cold from here.
           overlap_drain[i] = false;
-          handoffs.erase(
-              std::remove_if(handoffs.begin(), handoffs.end(),
-                             [i](const Pending& h) { return h.src == i; }),
-              handoffs.end());
+          handoffs.erase_if([i](const Pending& h) { return h.src == i; });
           for (auto& s : reps[i].take_all()) drain_one(std::move(s));
         }
         if (!oracle && active[i]) resume(i);
@@ -635,20 +611,17 @@ class FleetRun {
     // sequence re-prefills from scratch on the other side.
     // An overlap handoff's sequence is still on its source; it aborts only
     // if it has not left there meanwhile.
-    auto abort_severed = [&](std::vector<Pending>& list, bool on_source) {
-      for (auto it = list.begin(); it != list.end();) {
-        if (it->src < 0 || plane.drain_reachable(it->src, now)) {
-          ++it;
-          continue;
-        }
-        Sequence s = std::move(it->seq);
-        if (on_source) kick_.push_back(it->src);
-        if (!on_source || reps[it->src].take(s.request_id, &s)) {
+    auto abort_severed = [&](WaitQueue<Pending>& queue, bool on_source) {
+      queue.erase_if([&](Pending& p) {
+        if (p.src < 0 || plane.drain_reachable(p.src, now)) return false;
+        Sequence s = std::move(p.seq);
+        if (on_source) kick_.push_back(p.src);
+        if (!on_source || reps[p.src].take(s.request_id, &s)) {
           ++rep.migration_aborts;
           recompute(std::move(s));
         }
-        it = list.erase(it);
-      }
+        return true;
+      });
     };
     abort_severed(migrations, false);
     abort_severed(handoffs, true);
@@ -712,7 +685,7 @@ class FleetRun {
 
   // --- 3g0. overlap-drain cutovers: snapshot copy done, ship the delta ---
   void on_handoffs() {
-    for (auto& h : take_due(handoffs, now)) {
+    for (auto& h : handoffs.take_due(now)) {
       kick_.push_back(h.src);
       Sequence s;
       // The sequence may have finished on the source meanwhile (the best
@@ -739,7 +712,6 @@ class FleetRun {
 
   // --- 3h. fresh arrivals (bounded-queue admission, then routing) ---
   void on_arrivals() {
-    if (due(K::kArrival).empty()) return;
     while (next_arrival < n && blank[intake[next_arrival]].arrival_s <= now) {
       Sequence s = blank[intake[next_arrival++]];
       if (cfg_.hedge.enabled &&
@@ -773,14 +745,11 @@ class FleetRun {
       }
       dispatch(std::move(s));
     }
-    if (next_arrival < n) {
-      cal.push(blank[intake[next_arrival]].arrival_s, K::kArrival);
-    }
   }
 
   // --- 3i'. requests stranded at a dead router fail over ---
   void on_router_failovers() {
-    for (auto& p : take_due(router_pending, now)) {
+    for (auto& p : router_pending.take_due(now)) {
       // The lowest live router that is still admitting (not fenced).
       const int rtr = plane.survivor(now);
       if (rtr < 0) {
@@ -791,8 +760,7 @@ class FleetRun {
         });
         MIB_ENSURE(std::isfinite(wake),
                    "every router dark with no recovery scheduled");
-        park(router_pending, K::kRouterFailover,
-             Pending{wake, std::move(p.seq)});
+        park(router_pending, wake, std::move(p.seq));
         continue;
       }
       dispatch_via(rtr, std::move(p.seq));
@@ -916,10 +884,9 @@ class FleetRun {
       }
       if (visible_start) continue;  // tokens are flowing to the client
       const int rtr = plane.majority_survivor(now);
-      for (const auto& p : retries) {
-        const Sequence& c = p.seq;
-        dup_live = dup_live || (c.request_id == id && c.is_partition_dup);
-      }
+      dup_live = dup_live || retries.any([id](const Pending& p) {
+                   return p.seq.request_id == id && p.seq.is_partition_dup;
+                 });
       // Keep waiting, with backoff, while the majority's queues are full,
       // no live majority router can take the retry, or a duplicate is
       // already in flight.
@@ -1167,7 +1134,7 @@ class FleetRun {
       MIB_ENSURE(std::isfinite(wake),
                  "no replica in service and none scheduled to recover");
       MIB_ENSURE(wake > now, "fleet parked without a future wake event");
-      park(retries, K::kRetry, Pending{wake, seq});
+      park(retries, wake, seq);
       return;
     }
     const int idx = plane.router(rtr).route(seq, reps, up);
@@ -1182,8 +1149,7 @@ class FleetRun {
         // Connection refused by a dead node: the client times out after
         // the usual detection lag, then re-enters at its home router
         // (whose view has had time to catch up).
-        park(retries, K::kRetry,
-             Pending{now + cfg_.control.failover_detection_s, seq});
+        park(retries, now + cfg_.control.failover_detection_s, seq);
         return;
       }
       // Breaker open but the node is alive (a false-positive open): the
@@ -1229,8 +1195,7 @@ class FleetRun {
       }
       // No live majority router either: strand client-side until the
       // fail-over lag passes (3i' re-checks fencing on re-entry).
-      park(router_pending, K::kRouterFailover,
-           Pending{now + cfg_.control.failover_detection_s, seq});
+      park(router_pending, now + cfg_.control.failover_detection_s, seq);
       return;
     } else if (plane.router_minority(home, now)) {
       // Minority-homed dispatch during a partition: the client's retry
@@ -1242,8 +1207,7 @@ class FleetRun {
       // fail-over timeout fires, then re-enters at a survivor.
       ++rep.router_stranded;
       rep.requests[seq.request_id].router_failover = true;
-      park(router_pending, K::kRouterFailover,
-           Pending{now + cfg_.control.failover_detection_s, seq});
+      park(router_pending, now + cfg_.control.failover_detection_s, seq);
       return;
     }
     dispatch_via(home, std::move(seq));
@@ -1269,23 +1233,19 @@ class FleetRun {
         count_cancelled(s);
       }
     }
-    auto drop_from = [&](auto& list, auto seq_of) {
-      for (auto it = list.begin(); it != list.end();) {
-        if (seq_of(*it).request_id == id) {
-          count_cancelled(seq_of(*it));
-          it = list.erase(it);
-          --copies[id];
-        } else {
-          ++it;
-        }
-      }
+    auto drop = [&](const Sequence& s) {
+      if (s.request_id != id) return false;
+      count_cancelled(s);
+      --copies[id];
+      return true;
     };
-    auto pending_seq = [](Pending& p) -> Sequence& { return p.seq; };
-    drop_from(retries, pending_seq);
-    drop_from(migrations, pending_seq);
-    drop_from(router_pending, pending_seq);
+    for (auto* q : {&retries, &migrations, &router_pending}) {
+      q->erase_if([&](const Pending& p) { return drop(p.seq); });
+    }
     for (auto& list : stranded) {
-      drop_from(list, [](Sequence& s) -> Sequence& { return s; });
+      for (auto it = list.begin(); it != list.end();) {
+        it = drop(*it) ? list.erase(it) : it + 1;
+      }
     }
   }
 
@@ -1316,8 +1276,7 @@ class FleetRun {
       const std::uint64_t key =
           mix(cfg_.seed, mix(static_cast<std::uint64_t>(s.request_id),
                              static_cast<std::uint64_t>(s.retries)));
-      park(retries, K::kRetry,
-           Pending{now + cfg_.retry.delay(s.retries, key), s});
+      park(retries, now + cfg_.retry.delay(s.retries, key), s);
     }
   }
 
@@ -1342,7 +1301,7 @@ class FleetRun {
     rep.migrated_kv_tokens += seq.kv_tokens();
     rep.migration_s.add(ready - since);
     rep.requests[seq.request_id].migrated = true;
-    park(migrations, K::kMigration, Pending{ready, std::move(seq), src});
+    park(migrations, ready, std::move(seq), src);
   }
 
   // Drain by evacuate-and-recompute: progress is lost and the sequence
@@ -1351,7 +1310,7 @@ class FleetRun {
   void recompute(Sequence seq) {
     if (seq.kv_tokens() > 0) ++rep.drain_evacuations;
     seq.restart();
-    park(retries, K::kRetry, Pending{now, std::move(seq)});
+    park(retries, now, std::move(seq));
   }
 
   // --- end of run ---
@@ -1467,15 +1426,16 @@ class FleetRun {
 
   FleetReport rep = empty_report();
 
+  // Waiting queues: each entry wakes the loop at its own time.
   /// Backoff retries, drain re-dispatches and parked dispatches.
-  std::vector<Pending> retries;
+  WaitQueue<Pending> retries;
   /// KV migrations in flight to their cutover.
-  std::vector<Pending> migrations;
+  WaitQueue<Pending> migrations;
   /// Overlap-drain snapshot copies in flight.
-  std::vector<Pending> handoffs;
+  WaitQueue<Pending> handoffs;
   std::vector<bool> overlap_drain = flags();
   /// Requests waiting out the client fail-over lag at a dead home router.
-  std::vector<Pending> router_pending;
+  WaitQueue<Pending> router_pending;
   /// Work that was on a replica when it died, held until the front-end
   /// *learns* of the failure (circuit opens or the restart is observed).
   std::vector<std::vector<Sequence>> stranded =

@@ -10,19 +10,24 @@
 // backoff), and the autoscaler reacts to queue depth. Everything is
 // deterministic for a fixed seed.
 //
-// One event calendar (fleet/calendar.h) is the run's only clock: schedule
-// edges are compiled into it when a run starts, and step ends, heartbeats,
-// breaker deadlines, view syncs, parked work, hedge triggers, client
-// patience and autoscaler ticks are pushed as they are set. Within a pass
-// the handlers run in EventKind order (heartbeats first, the autoscaler
-// last), and the timed ones visit only the targets their due entries name,
-// in target order: client patience that expires for several requests at
-// one instant is served by request id. Partition cut and heal edges are
+// The next pass happens at the earliest of two clocks (fleet/calendar.h).
+// The event calendar holds timers and edges whose state lives elsewhere:
+// schedule edges are compiled into it when a run starts, and step ends,
+// heartbeats, breaker deadlines, view syncs, hedge triggers, client
+// patience and autoscaler ticks are pushed as they are set. The waiting
+// queues hold parked work (overlap-drain handoffs, KV migrations, retries,
+// router fail-overs) and the next arrival, in (time, request id) order.
+// Within a pass the calendar's handlers run in EventKind order up to step
+// ends, then the waiting queues are served (handoffs, migrations,
+// arrivals, retries, fail-overs), then hedges, client patience and the
+// autoscaler. The timed handlers visit only the targets their due entries
+// name, in target order: client patience that expires for several requests
+// at one instant is served by request id. Partition cut and heal edges are
 // entries too, so the heal handler runs only on a pass where one is due.
-// Stale entries are dropped without a pass. What still depends on the
-// pass sequence: partitioned runs refresh router views on every pass and
-// the view-disagreement clock sums per-pass slices, so an extra or a
-// missing pass (even one that only delivers a heartbeat, or one that
+// Stale calendar entries are dropped without a pass. What still depends
+// on the pass sequence: partitioned runs refresh router views on every
+// pass and the view-disagreement clock sums per-pass slices, so an extra
+// or a missing pass (even one that only delivers a heartbeat, or one that
 // advances time by zero) changes a partitioned report. perfbench's
 // fleet_chaos canonical digest pins both, so a modelled view-refresh
 // cadence waits for a change to that benchmark.

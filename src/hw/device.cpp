@@ -42,8 +42,6 @@ DeviceSpec h100_sxm5() {
   d.peak_flops_32 = 66.9 * kTFLOPS;
   d.mem_bytes = 80.0 * kGiB;
   d.mem_bw = 3.35 * kTB;
-  d.l2_bytes = 50.0 * kMB;
-  d.l2_bw_multiplier = 4.0;
   d.sm_count = 132;
   d.kernel_launch_overhead = 4.0e-6;
   d.max_compute_efficiency = 0.75;
@@ -68,8 +66,6 @@ DeviceSpec a100_sxm4() {
   d.peak_flops_32 = 19.5 * kTFLOPS;
   d.mem_bytes = 80.0 * kGiB;
   d.mem_bw = 2.04 * kTB;
-  d.l2_bytes = 40.0 * kMB;
-  d.l2_bw_multiplier = 3.0;
   d.sm_count = 108;
   d.kernel_launch_overhead = 4.5e-6;
   d.max_compute_efficiency = 0.70;
@@ -98,8 +94,6 @@ DeviceSpec b200_sxm() {
   d.peak_flops_32 = 80.0 * kTFLOPS;
   d.mem_bytes = 192.0 * kGiB;
   d.mem_bw = 8.0 * kTB;
-  d.l2_bytes = 126.0 * kMB;
-  d.l2_bw_multiplier = 4.0;
   d.sm_count = 148;
   d.kernel_launch_overhead = 3.5e-6;
   d.max_compute_efficiency = 0.72;
@@ -126,8 +120,6 @@ DeviceSpec cs3() {
   d.peak_flops_32 = 15.0 * kPFLOPS;
   d.mem_bytes = 1200.0 * kGiB;  // MemoryX-backed replica capacity
   d.mem_bw = 21.0 * kPB;
-  d.l2_bytes = 44.0 * kGB;  // all of SRAM behaves like cache
-  d.l2_bw_multiplier = 1.0;
   d.sm_count = 900000;
   d.kernel_launch_overhead = 0.5e-6;  // dataflow scheduling, no CUDA launches
   d.max_compute_efficiency = 0.04;    // sustained dense MFU on the wafer

@@ -35,11 +35,6 @@ struct DeviceSpec {
   double mem_bytes = 0.0;
   /// Peak DRAM (or wafer SRAM) bandwidth (bytes/s).
   double mem_bw = 0.0;
-  /// Last-level cache (bytes); ops with working sets below this get a
-  /// bandwidth bonus.
-  double l2_bytes = 0.0;
-  /// Bandwidth multiplier when the working set fits in L2.
-  double l2_bw_multiplier = 4.0;
 
   int sm_count = 0;
 

@@ -28,12 +28,6 @@ double KernelModel::gemm_efficiency(double m) const {
   return spec_.max_compute_efficiency * m / (m + spec_.gemm_m_half);
 }
 
-double KernelModel::achievable_bw(double bytes) const {
-  double bw = spec_.mem_bw * spec_.mem_efficiency;
-  if (bytes > 0 && bytes <= spec_.l2_bytes) bw *= spec_.l2_bw_multiplier;
-  return bw;
-}
-
 KernelCost KernelModel::op(double flops, double bytes,
                            double compute_efficiency, int launches) const {
   MIB_ENSURE(flops >= 0 && bytes >= 0, "negative work");
@@ -45,8 +39,8 @@ KernelCost KernelModel::op(double flops, double bytes,
   c.compute_s = flops > 0
                     ? flops / (spec_.peak_flops_16 * compute_efficiency)
                     : 0.0;
-  // Single-pass streaming: weights/activations are touched once, so the
-  // L2 bonus (achievable_bw) does not apply to roofline ops.
+  // Single-pass streaming: weights/activations are touched once, so every
+  // roofline op reads at the achievable DRAM bandwidth.
   c.memory_s = bytes > 0 ? bytes / (spec_.mem_bw * spec_.mem_efficiency)
                          : 0.0;
   c.launch_s = launches * spec_.kernel_launch_overhead;

@@ -45,11 +45,6 @@ class KernelModel {
   /// Fraction of peak FLOPs achievable for a GEMM with M tokens.
   double gemm_efficiency(double m) const;
 
-  /// Achievable bandwidth for a kernel that *re-reads* a working set of
-  /// `bytes` (L2 bonus when it fits). Roofline ops stream data once and use
-  /// plain DRAM bandwidth; this is for cache-resident access patterns.
-  double achievable_bw(double bytes) const;
-
   /// Generic roofline op. `launches` counts kernel launches.
   KernelCost op(double flops, double bytes, double compute_efficiency,
                 int launches = 1) const;

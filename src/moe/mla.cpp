@@ -1,5 +1,6 @@
 #include "moe/mla.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
@@ -69,44 +70,37 @@ Tensor MlaAttention::forward(const Tensor& x, KvState& kv,
     kv.append(latent.row(t), k_rope.row(t));
   }
 
+  // Up-project every position this forward attends to once: its K(nope)
+  // heads W_uk · latent and its V heads W_uv · latent, [ctx, H*d] each.
+  const std::size_t ctx = kv.tokens();
+  Tensor lat({ctx, r});
+  for (std::size_t p = 0; p < ctx; ++p) {
+    const auto row = kv.row(static_cast<int>(p)).subspan(0, r);
+    std::copy(row.begin(), row.end(), lat.row(p).begin());
+  }
+  Tensor k_nope, v_up;
+  matmul(lat, w_uk_, k_nope, true);
+  matmul(lat, w_uv_, v_up, true);
+
   Tensor attn_out({tokens, static_cast<std::size_t>(cfg_.n_heads) * d});
   std::vector<float> scores;
-  std::vector<float> v_head(d);
   for (std::size_t t = 0; t < tokens; ++t) {
     scores.resize(start_pos + t + 1);
     for (int hh = 0; hh < cfg_.n_heads; ++hh) {
       const auto qn = q_nope.row(t).subspan(hh * d, d);
       const auto qr = q_rope.row(t).subspan(hh * rd, rd);
-      // Row i of the head's slice of an up-projection [H*d, r].
-      const auto up_row = [&](const Tensor& w, std::size_t i) {
-        return w.data() + (hh * d + i) * r;
-      };
       const auto score = [&](int p) {
+        const auto kn = k_nope.row(p).subspan(hh * d, d);
         const auto row = kv.row(p);
-        const auto lat = row.subspan(0, r);
         const auto kr = row.subspan(r, rd);
-        // K(nope) head = W_uk[head rows] · latent.
         float s = 0.0f;
-        for (std::size_t i = 0; i < d; ++i) {
-          const float* wrow = up_row(w_uk_, i);
-          float ki = 0.0f;
-          for (std::size_t j = 0; j < r; ++j) ki += wrow[j] * lat[j];
-          s += qn[i] * ki;
-        }
+        for (std::size_t i = 0; i < d; ++i) s += qn[i] * kn[i];
         // Shared rope-key term.
         for (std::size_t j = 0; j < rd; ++j) s += qr[j] * kr[j];
         return s;
       };
-      // V head = W_uv[head rows] · latent.
       const auto value = [&](int p) {
-        const auto lat = kv.row(p).subspan(0, r);
-        for (std::size_t i = 0; i < d; ++i) {
-          const float* wrow = up_row(w_uv_, i);
-          float vi = 0.0f;
-          for (std::size_t j = 0; j < r; ++j) vi += wrow[j] * lat[j];
-          v_head[i] = vi;
-        }
-        return std::span<const float>(v_head);
+        return v_up.row(p).subspan(hh * d, d);
       };
       attend_head(scores, inv_sqrt, score, value,
                   attn_out.row(t).subspan(hh * d, d));

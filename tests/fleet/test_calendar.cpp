@@ -1,10 +1,12 @@
-// The fleet loop's event calendar: pop order within one instant, stale
-// entries, and the zero-advance pass an entry pushed at `now` produces.
+// The fleet loop's two clocks: the event calendar (pop order within one
+// instant, stale entries) and the waiting queues of parked work (take
+// order, erased entries), and the zero-advance pass an entry due at `now`
+// produces once its handler has run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "engine/replica.h"
@@ -74,24 +76,69 @@ TEST(Calendar, MovedBreakerDeadlineNeverWakes) {
   EXPECT_TRUE(cal.empty());
 }
 
-TEST(Calendar, CancelledRetryNeverWakes) {
-  struct Parked {
-    double ready_s;
-    int id;
-  };
-  std::vector<Parked> retries = {{0.3, 4}, {0.7, 9}};
-  Calendar cal;
-  for (const auto& p : retries) cal.push(p.ready_s, K::kRetry, p.id);
-  auto live = [&](const Event& e) {
-    return std::any_of(retries.begin(), retries.end(), [&](const Parked& p) {
-      return p.ready_s == e.time && p.id == e.target;
-    });
-  };
-  retries.erase(retries.begin());  // request 4 resolved elsewhere
-  EXPECT_EQ(cal.next(live), 0.7);
-  const auto due = drain_due(cal, 0.7);
+/// A parked item: its request id and the order it was parked in.
+struct Parked {
+  int id;
+  int nth;
+};
+
+std::vector<std::pair<int, int>> ids_and_order(const std::vector<Parked>& v) {
+  std::vector<std::pair<int, int>> out;
+  for (const auto& p : v) out.emplace_back(p.id, p.nth);
+  return out;
+}
+
+TEST(WaitQueue, TakesInTimeThenIdThenParkOrder) {
+  WaitQueue<Parked> q;
+  q.park(0.5, 9, {9, 0});
+  q.park(0.5, 4, {4, 1});
+  q.park(0.3, 7, {7, 2});
+  q.park(0.5, 4, {4, 3});
+  q.park(0.6, 1, {1, 4});
+  EXPECT_EQ(q.next(), 0.3);
+  const std::vector<std::pair<int, int>> expected = {
+      {7, 2}, {4, 1}, {4, 3}, {9, 0}};
+  EXPECT_EQ(ids_and_order(q.take_due(0.5)), expected);
+  EXPECT_EQ(q.next(), 0.6);
+}
+
+TEST(WaitQueue, ErasedEntryNoLongerWakes) {
+  WaitQueue<Parked> q;
+  q.park(0.3, 4, {4, 0});
+  q.park(0.7, 9, {9, 1});
+  q.erase_if([](const Parked& p) { return p.id == 4; });  // resolved elsewhere
+  EXPECT_EQ(q.next(), 0.7);
+  EXPECT_TRUE(q.take_due(0.5).empty());
+  const auto due = q.take_due(0.7);
   ASSERT_EQ(due.size(), 1u);
-  EXPECT_EQ(due[0].target, 9);
+  EXPECT_EQ(due[0].id, 9);
+  EXPECT_TRUE(q.empty());
+  EXPECT_TRUE(std::isinf(q.next()));
+}
+
+TEST(WaitQueue, ParkAtNowAfterItsHandlerYieldsOneZeroAdvancePass) {
+  Calendar cal;
+  WaitQueue<Parked> retries;
+  cal.push(1.0, K::kAutoscale);
+  cal.push(2.0, K::kAutoscale);
+  // The loop's next pass: the earliest of the calendar and the queue.
+  auto next_pass = [&] {
+    return std::min(cal.next(always_live), retries.next());
+  };
+  double now = next_pass();
+  ASSERT_EQ(now, 1.0);
+  ASSERT_EQ(drain_due(cal, now).size(), 1u);
+  EXPECT_TRUE(retries.take_due(now).empty());  // the retry handler ran
+  // A later handler of this pass parks a retry due at `now`.
+  retries.park(now, 4, {4, 0});
+  const double again = next_pass();
+  EXPECT_EQ(again, now);
+  EXPECT_TRUE(drain_due(cal, again).empty());
+  const auto due = retries.take_due(again);
+  ASSERT_EQ(due.size(), 1u);
+  EXPECT_EQ(due[0].id, 4);
+  // Exactly one: the pass after that advances again.
+  EXPECT_EQ(next_pass(), 2.0);
 }
 
 TEST(Calendar, StepEndOfACrashedReplicaNeverWakes) {
@@ -110,7 +157,7 @@ TEST(Calendar, StepEndOfACrashedReplicaNeverWakes) {
   r.begin_step(0.0);
   Calendar cal;
   cal.push(r.step_end_s(), K::kStepEnd, 0);
-  cal.push(5.0, K::kArrival);
+  cal.push(5.0, K::kAutoscale);
   auto live = [&](const Event& e) {
     return e.kind != K::kStepEnd || (r.mid_step() && r.step_end_s() == e.time);
   };
@@ -121,19 +168,20 @@ TEST(Calendar, StepEndOfACrashedReplicaNeverWakes) {
 
 TEST(Calendar, PushAtNowForAnEarlierHandlerYieldsOneZeroAdvancePass) {
   Calendar cal;
-  cal.push(1.0, K::kArrival);
-  cal.push(2.0, K::kArrival);
+  cal.push(1.0, K::kAutoscale);
+  cal.push(2.0, K::kAutoscale);
   double now = cal.next(always_live);
   ASSERT_EQ(now, 1.0);
   ASSERT_EQ(drain_due(cal, now).size(), 1u);
-  // A late handler of this pass parks a retry due at `now`; the retry
-  // handler already ran, so the next pass comes at the same instant.
-  cal.push(now, K::kRetry, 4);
+  // An arrival of this pass arms a hedge trigger with zero delay; this
+  // pass's due hedges were collected already, so the next pass comes at
+  // the same instant.
+  cal.push(now, K::kHedge, 4);
   const double again = cal.next(always_live);
   EXPECT_EQ(again, now);
   const auto due = drain_due(cal, again);
   ASSERT_EQ(due.size(), 1u);
-  EXPECT_EQ(due[0].kind, K::kRetry);
+  EXPECT_EQ(due[0].kind, K::kHedge);
   // Exactly one: the pass after that advances again.
   EXPECT_EQ(cal.next(always_live), 2.0);
 }
@@ -149,7 +197,7 @@ TEST(Calendar, CancelAndEarliest) {
     return e.kind == K::kFaultEdge;
   }), 0.9);
   EXPECT_TRUE(std::isinf(
-      cal.earliest([](const Event& e) { return e.kind == K::kRetry; })));
+      cal.earliest([](const Event& e) { return e.kind == K::kHedge; })));
 }
 
 }  // namespace

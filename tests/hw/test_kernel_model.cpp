@@ -70,12 +70,6 @@ TEST_F(KernelModelTest, CostAccumulation) {
   EXPECT_DOUBLE_EQ(s.compute_s, a.compute_s + b.compute_s);
 }
 
-TEST_F(KernelModelTest, L2ResidentOpsGetBandwidthBonus) {
-  const double small = 1.0 * kMB;    // fits in 50 MB L2
-  const double large = 1.0 * kGB;
-  EXPECT_GT(km_.achievable_bw(small), km_.achievable_bw(large));
-}
-
 TEST_F(KernelModelTest, GroupedGemmFusedBeatsUnfused) {
   const std::vector<double> groups(8, 16.0);
   const auto fused =
