@@ -30,6 +30,15 @@ LayerCostModel::LayerCostModel(models::ModelConfig model, hw::Cluster cluster,
   MIB_ENSURE(plan_.devices() <= cluster_.size(),
              "plan needs " << plan_.devices() << " devices, cluster has "
                            << cluster_.size());
+  if (model_.is_moe()) {
+    auto probs = parallel::expert_probabilities(model_.n_experts,
+                                                cost_.routing);
+    log1m_expert_p_ = parallel::log1m_probabilities(probs);
+    if (plan_.ep && plan_.tp > 1 && cost_.ep_balanced_placement) {
+      placement_ = parallel::balanced_placement(probs, plan_.tp);
+      expert_p_ = std::move(probs);
+    }
+  }
 }
 
 int LayerCostModel::effective_prompt_tokens(int seq_len,
@@ -166,7 +175,7 @@ void LayerCostModel::add_ffn_cost(double tokens, bool moe_layer,
          kernel_.elementwise(tokens * E, 2.0, 1.0, cost_.act_dtype));
 
   const double distinct_global = std::max(
-      1.0, parallel::expected_distinct_experts(E, assignments, cost_.routing));
+      1.0, parallel::expected_distinct_experts(log1m_expert_p_, assignments));
 
   double local_assignments = assignments;
   double local_distinct = distinct_global;
@@ -179,10 +188,8 @@ void LayerCostModel::add_ffn_cost(double tokens, bool moe_layer,
     // Whole experts per device; the slowest device gates the layer.
     double share;
     if (cost_.ep_balanced_placement) {
-      const auto probs = parallel::expert_probabilities(E, cost_.routing);
-      const auto placement = parallel::balanced_placement(probs, tp);
       const double factor = parallel::expected_max_load_factor_for_placement(
-          probs, placement, tp, assignments);
+          expert_p_, placement_, tp, assignments);
       share = std::clamp(factor / tp, 1.0 / tp, 1.0);
     } else {
       share = parallel::expected_max_group_share(E, assignments, tp,

@@ -10,9 +10,10 @@
 // context length. decode_parts(batch) returns the rest, and
 // decode_step(parts, batch, ctx) adds the core back in the order
 // decode_step(batch, ctx) sums it; the latter is built from the same two
-// calls, so a caller that keeps the parts of a batch (each engine Replica
-// does) prices every step bit-identically. The model itself stays
-// stateless: it caches nothing, and const calls never write.
+// calls, so a caller that keeps the parts of a batch (an engine PriceBook
+// does) prices every step bit-identically. The model itself caches
+// nothing lazily: what it keeps is fixed at construction, and const calls
+// never write.
 #pragma once
 
 #include <string>
@@ -165,6 +166,14 @@ class LayerCostModel {
   parallel::ParallelPlan plan_;
   CostConfig cost_;
   hw::KernelModel kernel_;
+
+  /// Routing statistics fixed by the model, the plan and the routing skew,
+  /// kept from construction so a pricing call does not rebuild them:
+  /// log1p(-p_i) per expert (MoE models), and under EP with balanced
+  /// placement the probabilities and the placement.
+  std::vector<double> log1m_expert_p_;
+  std::vector<double> expert_p_;
+  std::vector<int> placement_;
 };
 
 }  // namespace mib::engine

@@ -5,6 +5,7 @@
 #include <iterator>
 #include <limits>
 #include <tuple>
+#include <utility>
 
 #include "common/error.h"
 
@@ -17,17 +18,87 @@ void ReplicaConfig::validate() const {
   MIB_ENSURE(prefix_cache_entries >= 0, "negative prefix cache size");
 }
 
-Replica::Replica(const LayerCostModel* cost,
+PriceBook::Sheet& PriceBook::sheet(const LayerCostModel* model) {
+  for (auto& s : sheets_) {
+    if (&s.model() == model) return s;
+  }
+  return sheets_.emplace_back(model);
+}
+
+const LayerCostModel::DecodeParts& PriceBook::Sheet::decode_parts(
+    int batch) {
+  const auto i = static_cast<std::size_t>(batch - 1);
+  if (i >= decode_.size()) {
+    LayerCostModel::DecodeParts unpriced;
+    unpriced.qkvo_proj = std::numeric_limits<double>::quiet_NaN();
+    decode_.resize(i + 1, unpriced);
+  }
+  if (std::isnan(decode_[i].qkvo_proj)) {
+    decode_[i] = model_->decode_parts(batch);
+  }
+  return decode_[i];
+}
+
+const PriceBook::PrefillPrice& PriceBook::Sheet::prefill(int tokens) {
+  auto it = std::lower_bound(
+      prefill_.begin(), prefill_.end(), tokens,
+      [](const PrefillPrice& p, int t) { return p.tokens < t; });
+  if (it == prefill_.end() || it->tokens != tokens) {
+    const auto pf = model_->prefill(1, tokens);
+    it = prefill_.insert(
+        it, PrefillPrice{tokens, pf.total() - pf.head - pf.overhead,
+                         pf.head + pf.overhead});
+  }
+  return *it;
+}
+
+Replica::Replica(const LayerCostModel* cost, PriceBook* book,
                  long long kv_capacity_tokens, ReplicaConfig cfg)
-    : cost_(cost), kv_capacity_(kv_capacity_tokens), cfg_(cfg) {
-  MIB_ENSURE(cost_ != nullptr, "replica needs a cost model");
+    : book_(book), kv_capacity_(kv_capacity_tokens), cfg_(cfg) {
+  MIB_ENSURE(book_ != nullptr, "replica needs a price book");
   MIB_ENSURE(kv_capacity_ >= 1, "replica KV capacity below one token");
   cfg_.validate();
+  set_cost_model(cost);
+}
+
+Replica::Replica(const LayerCostModel* cost, long long kv_capacity_tokens,
+                 ReplicaConfig cfg)
+    : Replica(cost, std::make_unique<PriceBook>(), kv_capacity_tokens, cfg) {}
+
+Replica::Replica(const LayerCostModel* cost, std::unique_ptr<PriceBook> book,
+                 long long kv_capacity_tokens, ReplicaConfig cfg)
+    : Replica(cost, book.get(), kv_capacity_tokens, cfg) {
+  own_book_ = std::move(book);
 }
 
 void Replica::set_cost_model(const LayerCostModel* cost) {
   MIB_ENSURE(cost != nullptr, "replica needs a cost model");
-  cost_ = cost;
+  prices_ = &book_->sheet(cost);
+}
+
+void Replica::enqueue(const Sequence& seq) {
+  outstanding_ += seq.remaining_tokens();
+  waiting_.push_back(seq);
+}
+
+void Replica::uncount(const Sequence& s, bool running) {
+  outstanding_ -= s.remaining_tokens();
+  if (running) kv_used_ -= s.kv_tokens();
+}
+
+void Replica::check_counts() const {
+  long long outstanding = 0;
+  long long kv_used = 0;
+  for (const auto& s : waiting_) outstanding += s.remaining_tokens();
+  for (const auto& s : running_) {
+    outstanding += s.remaining_tokens();
+    kv_used += s.kv_tokens();
+  }
+  MIB_ENSURE(outstanding == outstanding_,
+             "outstanding-token count " << outstanding_ << " != sum "
+                                        << outstanding);
+  MIB_ENSURE(kv_used == kv_used_,
+             "KV-in-use count " << kv_used_ << " != sum " << kv_used);
 }
 
 const Sequence* Replica::find(int request_id) const {
@@ -40,16 +111,12 @@ const Sequence* Replica::find(int request_id) const {
   return nullptr;
 }
 
-bool Replica::started(int request_id) const {
-  const Sequence* s = find(request_id);
-  return s != nullptr && s->first_token_s >= 0.0;
-}
-
 bool Replica::take(int request_id, Sequence* out) {
   MIB_ENSURE(out != nullptr, "take needs somewhere to put the sequence");
   for (auto it = running_.begin(); it != running_.end(); ++it) {
     if (it->request_id == request_id) {
       *out = *it;
+      uncount(*it, true);
       running_.erase(it);
       // Retired capacity, even if by cancellation: admissions resume.
       admission_blocked_ = false;
@@ -59,6 +126,7 @@ bool Replica::take(int request_id, Sequence* out) {
   for (auto it = waiting_.begin(); it != waiting_.end(); ++it) {
     if (it->request_id == request_id) {
       *out = *it;
+      uncount(*it, false);
       waiting_.erase(it);
       return true;
     }
@@ -82,53 +150,6 @@ std::vector<int> Replica::resident_ids() const {
   return ids;
 }
 
-long long Replica::outstanding_tokens() const {
-  long long total = 0;
-  for (const auto& s : waiting_) total += s.remaining_tokens();
-  for (const auto& s : running_) total += s.remaining_tokens();
-  return total;
-}
-
-long long Replica::kv_in_use() const {
-  long long used = 0;
-  for (const auto& s : running_) used += s.kv_tokens();
-  return used;
-}
-
-Replica::StepPrices& Replica::prices() {
-  for (auto& p : prices_) {
-    if (p.model == cost_) return p;
-  }
-  prices_.push_back(StepPrices{cost_, {}, {}});
-  return prices_.back();
-}
-
-const LayerCostModel::DecodeParts& Replica::StepPrices::decode_parts(
-    int batch) {
-  const auto i = static_cast<std::size_t>(batch - 1);
-  if (i >= decode.size()) {
-    LayerCostModel::DecodeParts unpriced;
-    unpriced.qkvo_proj = std::numeric_limits<double>::quiet_NaN();
-    decode.resize(i + 1, unpriced);
-  }
-  if (std::isnan(decode[i].qkvo_proj)) decode[i] = model->decode_parts(batch);
-  return decode[i];
-}
-
-const Replica::StepPrices::Prefill& Replica::StepPrices::prefill_price(
-    int tokens) {
-  auto it = std::lower_bound(
-      prefill.begin(), prefill.end(), tokens,
-      [](const Prefill& p, int t) { return p.tokens < t; });
-  if (it == prefill.end() || it->tokens != tokens) {
-    const auto pf = model->prefill(1, tokens);
-    it = prefill.insert(
-        it, Prefill{tokens, pf.total() - pf.head - pf.overhead,
-                    pf.head + pf.overhead});
-  }
-  return *it;
-}
-
 void Replica::touch_prefix(std::uint64_t hash) {
   if (hash == 0 || cfg_.prefix_cache_entries == 0) return;
   prefix_cache_[hash] = ++prefix_tick_;
@@ -147,6 +168,7 @@ std::vector<Sequence> Replica::drop_expired(double now) {
   for (auto it = waiting_.begin(); it != waiting_.end();) {
     if (it->deadline_s > 0.0 && now > it->deadline_s) {
       expired.push_back(*it);
+      uncount(*it, false);
       it = waiting_.erase(it);
     } else {
       ++it;
@@ -158,7 +180,6 @@ std::vector<Sequence> Replica::drop_expired(double now) {
 void Replica::admit() {
   // Gang batching drains the running batch before admitting again.
   if (!cfg_.continuous_batching && !running_.empty()) return;
-  long long kv_used = kv_in_use();
   while (!waiting_.empty() &&
          static_cast<int>(running_.size()) < cfg_.max_batch) {
     if (cfg_.policy == QueuePolicy::kShortestFirst) {
@@ -177,7 +198,7 @@ void Replica::admit() {
     // whichever is larger, its resident state or its full prompt.
     const long long need =
         std::max<long long>(head.input_tokens, head.kv_tokens());
-    if (kv_used + need > kv_capacity_) break;
+    if (kv_used_ + need > kv_capacity_) break;
     Sequence s = head;
     waiting_.pop_front();
     // Prefix-cache lookup happens when service starts: a warm conversation
@@ -190,10 +211,11 @@ void Replica::admit() {
         ++prefix_hits_;
         s.prefix_hit = true;
         s.prefilled = std::min(s.prefix_tokens, s.input_tokens - 1);
+        outstanding_ -= s.prefilled;
         touch_prefix(s.prefix_hash);
       }
     }
-    kv_used += s.kv_tokens();
+    kv_used_ += s.kv_tokens();
     running_.push_back(s);
   }
 }
@@ -217,6 +239,9 @@ void Replica::begin_step(double now) {
         });
     Sequence s = *victim;
     running_.erase(victim);
+    // Its KV is freed and its progress is owed again.
+    kv_used_ -= s.kv_tokens();
+    outstanding_ += s.kv_tokens();
     s.restart();
     waiting_.push_front(s);
     ++preemptions_;
@@ -229,16 +254,14 @@ void Replica::begin_step(double now) {
   for (;;) {
     decode_batch = 0;
     ctx_sum = 0.0;
-    long long kv_used = 0;
     for (const auto& s : running_) {
-      kv_used += s.kv_tokens();
       if (s.prefill_done()) {
         ++decode_batch;
         ctx_sum += static_cast<double>(s.kv_tokens());
       }
     }
     // Decode grows every finished context by one token this step.
-    if (kv_used + decode_batch > kv_capacity_ && running_.size() > 1) {
+    if (kv_used_ + decode_batch > kv_capacity_ && running_.size() > 1) {
       preempt_youngest();
       continue;
     }
@@ -248,9 +271,10 @@ void Replica::begin_step(double now) {
     for (auto& s : running_) {
       if (s.prefill_done() || budget <= 0) continue;
       const int chunk = std::min(budget, s.input_tokens - s.prefilled);
-      if (kv_used + chunk <= kv_capacity_) {
+      if (kv_used_ + chunk <= kv_capacity_) {
         s.prefilled += chunk;
-        kv_used += chunk;
+        kv_used_ += chunk;
+        outstanding_ -= chunk;
         budget -= chunk;
         prefill_tokens += chunk;
       }
@@ -269,17 +293,17 @@ void Replica::begin_step(double now) {
 
   // The LM head and per-step overhead are charged once per engine step,
   // not once per phase.
-  StepPrices& memo = prices();
   double step_time = 0.0;
   if (decode_batch > 0) {
     const double avg_ctx =
         std::max(1.0, ctx_sum / static_cast<double>(decode_batch));
-    step_time += cost_->decode_step(memo.decode_parts(decode_batch),
-                                    decode_batch, avg_ctx)
+    step_time += prices_->model()
+                     .decode_step(prices_->decode_parts(decode_batch),
+                                  decode_batch, avg_ctx)
                      .total();
   }
   if (prefill_tokens > 0) {
-    const auto& pf = memo.prefill_price(prefill_tokens);
+    const auto& pf = prices_->prefill(prefill_tokens);
     step_time += pf.body;
     if (decode_batch == 0) step_time += pf.head_overhead;
   }
@@ -312,18 +336,22 @@ std::vector<Sequence> Replica::complete_step() {
     if (s.prefill_done() && s.generated < s.output_tokens) {
       // A sequence whose prefill completed this step emits its first token
       // now; afterwards it decodes one token per step.
+      const int before = s.generated;
       if (s.first_token_s < 0.0) {
         s.first_token_s = now;
         s.generated = 1;
       } else {
         ++s.generated;
       }
+      kv_used_ += s.generated - before;
+      outstanding_ -= s.generated - before;
       advanced = true;
     }
     if (advanced && s.finished()) {
       // The conversation's history (prefix + new turn) is now resident.
       touch_prefix(s.prefix_hash);
       finished.push_back(s);
+      uncount(s, true);
       it = running_.erase(it);
       admission_blocked_ = false;  // capacity retired: admissions resume
     } else {
@@ -340,6 +368,8 @@ std::vector<Sequence> Replica::take_all() {
   for (auto& s : waiting_) out.push_back(s);
   running_.clear();
   waiting_.clear();
+  outstanding_ = 0;
+  kv_used_ = 0;
   // The node goes away either way (crash or maintenance reboot): its
   // prefix cache is cold when it returns.
   prefix_cache_.clear();
@@ -350,6 +380,7 @@ std::vector<Sequence> Replica::take_all() {
 
 std::vector<Sequence> Replica::take_waiting() {
   std::vector<Sequence> out(waiting_.begin(), waiting_.end());
+  for (const auto& s : out) uncount(s, false);
   waiting_.clear();
   return out;
 }

@@ -14,19 +14,27 @@
 // warm prefix during prefill, which is what session-affinity routing
 // monetizes.
 //
-// Step prices are memoized per replica: the context-free parts of a decode
-// step per batch size (LayerCostModel::decode_parts) and the split price of
-// each prefill chunk size, so a step recomputes only its paged attention
-// core. The memo is exact (every step costs bit-for-bit what a fresh
-// reprice would) and is keyed on the pricing model, since degradation and
-// warm-up edges swap models and a swap back finds its entries filled. It
-// lives and dies with the replica, so nothing carries from one run to the
-// next.
+// Step prices live in a PriceBook the caller owns: per pricing model, the
+// context-free parts of a decode step per batch size
+// (LayerCostModel::decode_parts) and the split price of each prefill chunk
+// size, so a step recomputes only its paged attention core. The memo is
+// exact (every step costs bit-for-bit what a fresh reprice would) and is
+// keyed on the pricing model, since degradation and warm-up edges swap
+// models and a swap back finds its entries filled. Prices depend on the
+// model alone, so replicas may share one book: a fleet run shares one
+// across its pool and drops it at the end of the run.
+//
+// The replica keeps two counts as it goes, outstanding tokens (queued and
+// running work still to produce) and KV tokens resident in the running
+// batch. Every verb that moves a sequence or its progress updates them, so
+// routing and admission read them in O(1); check_counts() recomputes both
+// sums and fails on a mismatch.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "engine/layer_cost.h"
@@ -102,32 +110,77 @@ struct ReplicaConfig {
   void validate() const;
 };
 
+/// Step prices per pricing model, filled as steps ask for them. Prices
+/// depend on the model alone, so any number of replicas may share a book;
+/// a book is not thread-safe, so replicas stepped on different threads
+/// each need their own.
+class PriceBook {
+ public:
+  /// A prefill chunk's price split as a step composes it: the body, and
+  /// the LM head + per-step overhead a decode batch already pays.
+  struct PrefillPrice {
+    int tokens;
+    double body;
+    double head_overhead;
+  };
+
+  /// The prices of one pricing model.
+  class Sheet {
+   public:
+    explicit Sheet(const LayerCostModel* model) : model_(model) {}
+    const LayerCostModel& model() const { return *model_; }
+    const LayerCostModel::DecodeParts& decode_parts(int batch);
+    const PrefillPrice& prefill(int tokens);
+
+   private:
+    const LayerCostModel* model_;
+    /// Indexed by batch - 1, grown to the largest batch seen; unpriced
+    /// entries hold NaN.
+    std::vector<LayerCostModel::DecodeParts> decode_;
+    /// Sorted by tokens; holds only the chunk sizes seen.
+    std::vector<PrefillPrice> prefill_;
+  };
+
+  /// The sheet of `model` (which outlives the book), opened on first use.
+  /// A sheet keeps its address for the book's lifetime.
+  Sheet& sheet(const LayerCostModel* model);
+
+ private:
+  std::deque<Sheet> sheets_;
+};
+
 class Replica {
  public:
-  /// `cost` outlives the replica.
+  /// `cost` and `book` outlive the replica; the book may be shared with
+  /// other replicas.
+  Replica(const LayerCostModel* cost, PriceBook* book,
+          long long kv_capacity_tokens, ReplicaConfig cfg);
+  /// A replica that prices from a private book of its own (a standalone
+  /// replay of one replica).
   Replica(const LayerCostModel* cost, long long kv_capacity_tokens,
           ReplicaConfig cfg);
 
   /// Swap the pricing model (degradation window edges). Affects steps
   /// begun afterwards; an in-flight step keeps its committed end time.
-  /// `cost` outlives the replica too: step prices are kept per model
-  /// address.
+  /// `cost` outlives the book too: prices are kept per model address.
   void set_cost_model(const LayerCostModel* cost);
 
   // --- queueing ---
-  void enqueue(const Sequence& seq) { waiting_.push_back(seq); }
+  void enqueue(const Sequence& seq);
   int queue_depth() const { return static_cast<int>(waiting_.size()); }
   int running_count() const { return static_cast<int>(running_.size()); }
   bool has_work() const { return !waiting_.empty() || !running_.empty(); }
-  /// Total tokens still to produce across queued + running work.
-  long long outstanding_tokens() const;
-  /// KV tokens resident in the running batch right now.
-  long long kv_in_use() const;
+  /// Total tokens still to produce across queued + running work
+  /// (maintained count).
+  long long outstanding_tokens() const { return outstanding_; }
+  /// KV tokens resident in the running batch right now (maintained count).
+  long long kv_in_use() const { return kv_used_; }
+  /// Recompute both counts from the queue and the batch; fails on a
+  /// mismatch with the maintained ones.
+  void check_counts() const;
 
   /// The copy of `request_id` held here (queued or running), or nullptr.
   const Sequence* find(int request_id) const;
-  /// Whether this replica has emitted the first token of `request_id`.
-  bool started(int request_id) const;
   /// Remove the copy of `request_id` (running batch first) into `out`,
   /// progress intact, and free its KV here. One verb for every single-copy
   /// removal: a cancelled or shed copy, a fenced duplicate, or an
@@ -180,39 +233,27 @@ class Replica {
   long long prefix_hits() const { return prefix_hits_; }
 
  private:
-  /// Step prices this replica has computed with one pricing model.
-  struct StepPrices {
-    /// Prefill chunk price split as the step composes it: the body, and
-    /// the LM head + per-step overhead a decode batch already pays.
-    struct Prefill {
-      int tokens;
-      double body;
-      double head_overhead;
-    };
-    const LayerCostModel* model;
-    /// Indexed by batch - 1, grown to the largest batch seen; unpriced
-    /// entries hold NaN.
-    std::vector<LayerCostModel::DecodeParts> decode;
-    /// Sorted by tokens; holds only the chunk sizes seen.
-    std::vector<Prefill> prefill;
-
-    const LayerCostModel::DecodeParts& decode_parts(int batch);
-    const Prefill& prefill_price(int tokens);
-  };
+  Replica(const LayerCostModel* cost, std::unique_ptr<PriceBook> book,
+          long long kv_capacity_tokens, ReplicaConfig cfg);
 
   void admit();
   void touch_prefix(std::uint64_t hash);
-  StepPrices& prices();
+  /// Remove `s` from the counts, as held in the running batch or queued.
+  void uncount(const Sequence& s, bool running);
 
-  const LayerCostModel* cost_;
-  /// One entry per pricing model this replica has stepped with.
-  std::vector<StepPrices> prices_;
+  /// Set only when the replica was built without a book.
+  std::unique_ptr<PriceBook> own_book_;
+  PriceBook* book_;
+  /// The book's sheet of the current pricing model.
+  PriceBook::Sheet* prices_;
   long long kv_capacity_;
   ReplicaConfig cfg_;
 
   std::deque<Sequence> waiting_;
   std::vector<Sequence> running_;
   bool admission_blocked_ = false;
+  long long outstanding_ = 0;  ///< sum of remaining_tokens(), queue + batch
+  long long kv_used_ = 0;      ///< sum of kv_tokens() over the batch
 
   bool mid_step_ = false;
   double step_end_ = 0.0;

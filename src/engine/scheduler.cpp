@@ -38,7 +38,8 @@ ServingReport ServingSimulator::run(
                      return a.arrival_s < b.arrival_s;
                    });
 
-  Replica replica(&cost_, kv_capacity_tokens_, sched_);
+  PriceBook book;
+  Replica replica(&cost_, &book, kv_capacity_tokens_, sched_);
   ServingReport rep;
   rep.requests.resize(requests.size());
   double now = 0.0;

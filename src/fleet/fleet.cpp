@@ -214,7 +214,7 @@ class FleetRun {
     });
 
     for (int i = 0; i < pool; ++i) {
-      reps.emplace_back(cost_, sim_.kv_token_capacity(), cfg_.replica);
+      reps.emplace_back(cost_, &book, sim_.kv_token_capacity(), cfg_.replica);
       active[i] = i < cfg_.n_replicas;
       rep.replicas[i].replica = i;
     }
@@ -771,8 +771,14 @@ class FleetRun {
   void on_hedges() {
     for (int id : due(K::kHedge)) {
       if (done[id]) continue;
+      // One scan per replica answers both "has a copy started" and "does
+      // this replica hold a copy".
       bool started = false;
-      for (const auto& r : reps) started = started || r.started(id);
+      for (int r = 0; r < pool && !started; ++r) {
+        const Sequence* c = reps[r].find(id);
+        holds[r] = c != nullptr;
+        started = c != nullptr && c->first_token_s >= 0.0;
+      }
       if (started) continue;  // first token is out, nothing to hedge
       if (cfg_.hedge.max_utilization < 1.0) {
         // Utilization gate: hedging into a saturated fleet adds load
@@ -808,9 +814,8 @@ class FleetRun {
       if (rtr < 0) continue;  // whole front end dark: no hedge
       auto up = routable_for(rtr);
       // Never double up on a replica already holding a copy.
-      up.erase(std::remove_if(
-                   up.begin(), up.end(),
-                   [&](int r) { return reps[r].find(id) != nullptr; }),
+      up.erase(std::remove_if(up.begin(), up.end(),
+                              [&](int r) { return holds[r]; }),
                up.end());
       if (up.empty()) continue;
       Sequence copy = blank[id];
@@ -874,7 +879,7 @@ class FleetRun {
         if (c->via_router >= 0 &&
             !plane.reply_reachable(r, c->via_router, now)) {
           any_unreachable = true;
-        } else if (reps[r].started(id)) {
+        } else if (c->first_token_s >= 0.0) {
           visible_start = true;
         }
       }
@@ -1398,6 +1403,9 @@ class FleetRun {
   // --- fleet state ---
   const int pool = sim_.pool_size();
   const bool oracle = !cfg_.health.enabled;
+  /// Step prices of every pricing model this run steps with, shared by
+  /// the whole pool.
+  engine::PriceBook book;
   std::vector<Replica> reps;
   std::vector<bool> active = flags(), in_maint = flags();
   const FaultSchedule faults{sim_.expanded_faults()};
@@ -1482,6 +1490,8 @@ class FleetRun {
   /// a copy or a pending handoff, since the last kick: the next kick
   /// examines only these.
   std::vector<int> kick_;
+  /// Which replicas hold a copy of the request a hedge trigger examines.
+  std::vector<bool> holds = flags();
 
   std::vector<bool> flags() const { return std::vector<bool>(pool, false); }
   FleetReport empty_report() const {

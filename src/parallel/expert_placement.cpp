@@ -25,13 +25,27 @@ std::vector<double> expert_probabilities(int n_experts,
 
 double expected_distinct_experts(int n_experts, double assignments,
                                  const RoutingModel& routing) {
+  if (assignments == 0.0) return 0.0;
+  return expected_distinct_experts(
+      log1m_probabilities(expert_probabilities(n_experts, routing)),
+      assignments);
+}
+
+std::vector<double> log1m_probabilities(const std::vector<double>& probs) {
+  std::vector<double> out;
+  out.reserve(probs.size());
+  for (double pi : probs) out.push_back(std::log1p(-pi));
+  return out;
+}
+
+double expected_distinct_experts(const std::vector<double>& log1m_probs,
+                                 double assignments) {
   MIB_ENSURE(assignments >= 0.0, "negative assignments");
   if (assignments == 0.0) return 0.0;
-  const auto p = expert_probabilities(n_experts, routing);
   double hit = 0.0;
-  for (double pi : p) {
+  for (double l : log1m_probs) {
     // 1 - (1 - p)^n, computed stably via expm1/log1p.
-    hit += -std::expm1(assignments * std::log1p(-pi));
+    hit += -std::expm1(assignments * l);
   }
   return hit;
 }

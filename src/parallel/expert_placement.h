@@ -29,6 +29,15 @@ std::vector<double> expert_probabilities(int n_experts,
 double expected_distinct_experts(int n_experts, double assignments,
                                  const RoutingModel& routing);
 
+/// log1p(-p_i) of each probability: the per-expert terms of
+/// expected_distinct_experts, for callers that keep them.
+std::vector<double> log1m_probabilities(const std::vector<double>& probs);
+
+/// expected_distinct_experts from kept log1m_probabilities; bit-identical
+/// to the form above.
+double expected_distinct_experts(const std::vector<double>& log1m_probs,
+                                 double assignments);
+
 /// Expected (max device load) / (mean device load) when `n_experts` experts
 /// are partitioned contiguously across `groups` devices and `assignments`
 /// draws land on them. 1.0 for a single group; >= 1 otherwise. Uses a

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/rng.h"
 #include "engine/layer_cost.h"
 #include "engine/replica.h"
 #include "models/zoo.h"
@@ -203,7 +206,8 @@ TEST(Replica, RestartLosesAllProgress) {
 TEST(Replica, TakingARunningCopyResumesAdmission) {
   const auto c = engine_cfg();
   const LayerCostModel cost(c.model, c.cluster, c.plan, c.cost);
-  Replica r(&cost, 100, ReplicaConfig{});
+  PriceBook book;
+  Replica r(&cost, &book, 100, ReplicaConfig{});
   for (int id = 0; id < 3; ++id) {
     Sequence s;
     s.request_id = id;
@@ -232,6 +236,100 @@ TEST(Replica, TakingARunningCopyResumesAdmission) {
   // Ids 0 and 1 ran in lockstep, so id 0 holds as much KV as the taken
   // copy; id 2 re-prefilled its 30 tokens.
   EXPECT_EQ(r.kv_in_use(), taken.kv_tokens() + 30);
+}
+
+// The replica's maintained counts equal the sums they replace after every
+// verb, over a random mix of arrivals (some with a warm conversation
+// prefix or a deadline), migrated sequences that carry their progress,
+// removals mid-step and whole-replica drains, on a KV pool small enough
+// that decode growth preempts.
+TEST(Replica, CountsMatchSums) {
+  const auto c = engine_cfg();
+  const LayerCostModel cost(c.model, c.cluster, c.plan, c.cost);
+  ReplicaConfig rc;
+  rc.max_batch = 8;
+  rc.prefill_tokens_per_step = 96;
+  rc.prefix_cache_entries = 4;
+  PriceBook book;
+  Replica r(&cost, &book, 600, rc);
+  Rng rng(7);
+  std::vector<Sequence> held;  // taken out with progress, to re-enqueue
+  int next_id = 0;
+  double now = 0.0;
+  int expired = 0, migrated = 0, waiting_taken = 0, drains = 0,
+      evacuations = 0;
+  auto pick = [&](std::uint64_t n) {
+    return static_cast<int>(rng.uniform_index(n));
+  };
+  for (int op = 0; op < 6000; ++op) {
+    switch (pick(12)) {
+      case 0: case 1: case 2: case 3: {
+        Sequence s;
+        s.request_id = next_id++;
+        s.arrival_s = now;
+        s.input_tokens = 8 + pick(160);
+        s.output_tokens = 1 + pick(48);
+        s.prefix_hash = static_cast<std::uint64_t>(pick(4));
+        s.prefix_tokens = pick(static_cast<std::uint64_t>(s.input_tokens));
+        if (pick(4) == 0) s.deadline_s = now + rng.uniform(0.0, 0.05);
+        r.enqueue(s);
+        break;
+      }
+      case 4:
+        if (!held.empty()) {
+          const std::size_t i = rng.uniform_index(held.size());
+          migrated += held[i].kv_tokens() > 0;
+          r.enqueue(held[i]);
+          held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+        }
+        break;
+      case 5: {
+        const auto ids = r.resident_ids();
+        Sequence s;
+        if (!ids.empty() &&
+            r.take(ids[rng.uniform_index(ids.size())], &s)) {
+          held.push_back(s);
+        }
+        break;
+      }
+      case 6:
+        expired += static_cast<int>(r.drop_expired(now).size());
+        break;
+      case 7:
+        for (const auto& s : r.take_waiting()) {
+          held.push_back(s);
+          ++waiting_taken;
+        }
+        break;
+      case 8:
+        if (pick(8) == 0) {
+          const bool crash = pick(2) == 0;
+          auto out = crash ? r.evacuate() : r.take_all();
+          (crash ? evacuations : drains) += !out.empty();
+          held.insert(held.end(), out.begin(), out.end());
+        }
+        break;
+      default:
+        if (r.mid_step()) {
+          now = r.step_end_s();
+          r.complete_step();
+        } else if (r.has_work()) {
+          r.begin_step(now);
+        } else {
+          now += 0.01;
+        }
+        break;
+    }
+    ASSERT_NO_THROW(r.check_counts()) << "op " << op;
+  }
+  // The mix reached every verb that moves a count.
+  EXPECT_GT(r.prefix_hits(), 0);
+  EXPECT_GT(r.preemptions(), 0);
+  EXPECT_GT(expired, 0);
+  EXPECT_GT(migrated, 0);
+  EXPECT_GT(waiting_taken, 0);
+  EXPECT_GT(drains, 0);
+  EXPECT_GT(evacuations, 0);
 }
 
 }  // namespace

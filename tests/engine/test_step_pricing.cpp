@@ -128,7 +128,8 @@ TEST(StepPricing, ReplicaMatchesARepriceAcrossModelSwaps) {
   ReplicaConfig rc;
   rc.max_batch = 16;
   rc.prefill_tokens_per_step = 384;
-  Replica r(&fused, 2000, rc);
+  PriceBook book;
+  Replica r(&fused, &book, 2000, rc);
   const int n = 60;
   for (int i = 0; i < n; ++i) {
     Sequence s;
@@ -182,6 +183,66 @@ TEST(StepPricing, ReplicaMatchesARepriceAcrossModelSwaps) {
   EXPECT_GT(prefill_only, 0);
   EXPECT_GT(steps - mixed - prefill_only, 0);
   EXPECT_GT(r.preemptions(), 0);
+}
+
+// Prices depend on the model alone, so replicas that share one book step
+// exactly like replicas that each keep their own. Each replica serves its
+// own trace and swaps models on its own cadence, so the shared book's
+// entries are filled by whichever replica needs them first.
+TEST(StepPricing, SharedBookMatchesPrivateBooks) {
+  const auto m = models::qwen3_30b_a3b();
+  const auto fused = make(m, plan_cases()[0]);
+  CostConfig naive_cost;
+  naive_cost.fused_moe = false;
+  const LayerCostModel naive(m, hw::Cluster::h100_node(1),
+                             parallel::tp_plan(1), naive_cost);
+
+  ReplicaConfig rc;
+  rc.max_batch = 12;
+  rc.prefill_tokens_per_step = 256;
+  constexpr int kReplicas = 3;
+  PriceBook book;
+  std::vector<Replica> shared, own;
+  for (int k = 0; k < kReplicas; ++k) {
+    shared.emplace_back(&fused, &book, 1500, rc);
+    own.emplace_back(&fused, 1500, rc);  // a private book each
+    for (int i = 0; i < 40; ++i) {
+      Sequence s;
+      s.request_id = i;
+      s.arrival_s = 0.01 * i;
+      s.input_tokens = 16 + (i * (97 + 40 * k)) % 500;
+      s.output_tokens = 1 + (i * (13 + 7 * k)) % 40;
+      shared[k].enqueue(s);
+      own[k].enqueue(s);
+    }
+  }
+
+  long long steps = 0;
+  for (int round = 0;; ++round) {
+    bool any = false;
+    for (int k = 0; k < kReplicas; ++k) {
+      if (!shared[k].has_work()) continue;
+      any = true;
+      const LayerCostModel* cost =
+          (round / (2 + k)) % 2 == 0 ? &fused : &naive;
+      shared[k].set_cost_model(cost);
+      own[k].set_cost_model(cost);
+      shared[k].begin_step(0.0);
+      own[k].begin_step(0.0);
+      ASSERT_EQ(shared[k].step_end_s(), own[k].step_end_s())
+          << "replica " << k << " round " << round;
+      shared[k].complete_step();
+      own[k].complete_step();
+      ++steps;
+    }
+    if (!any) break;
+  }
+  EXPECT_GT(steps, 100);
+  for (int k = 0; k < kReplicas; ++k) {
+    EXPECT_FALSE(own[k].has_work());
+    EXPECT_EQ(shared[k].busy_s(), own[k].busy_s());
+    EXPECT_EQ(shared[k].preemptions(), own[k].preemptions());
+  }
 }
 
 }  // namespace

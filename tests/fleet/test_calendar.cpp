@@ -148,7 +148,8 @@ TEST(Calendar, StepEndOfACrashedReplicaNeverWakes) {
   const FleetSimulator sim(cfg);
   const engine::LayerCostModel cost(cfg.engine.model, cfg.engine.cluster,
                                     cfg.engine.plan, cfg.engine.cost);
-  engine::Replica r(&cost, sim.kv_token_capacity(), cfg.replica);
+  engine::PriceBook book;
+  engine::Replica r(&cost, &book, sim.kv_token_capacity(), cfg.replica);
   engine::Sequence s;
   s.request_id = 0;
   s.input_tokens = 128;

@@ -58,7 +58,8 @@ TEST(ReplicaReplay, FleetStepsMatchStandaloneReplicas) {
                      [](const engine::Sequence& a, const engine::Sequence& b) {
                        return a.arrival_s < b.arrival_s;
                      });
-    engine::Replica r(&cost, sim.kv_token_capacity(), cfg.replica);
+    engine::PriceBook book;
+    engine::Replica r(&cost, &book, sim.kv_token_capacity(), cfg.replica);
     std::size_t next = 0;
     double now = 0.0;
     for (;;) {
