@@ -10,6 +10,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "fleet/calendar.h"
+#include "fleet/copy_ledger.h"
 
 namespace mib::fleet {
 
@@ -266,9 +267,9 @@ class FleetRun {
   }
 
   FleetReport run() {
-    while (resolved < n) {
+    while (ledger.resolved_total() < n) {
       kick_idle();
-      if (resolved >= n) break;
+      if (ledger.resolved_total() >= n) break;
       advance_clock();
       on_heartbeats();
       on_scale_edges();
@@ -364,16 +365,11 @@ class FleetRun {
       return;
     }
     for (auto& s : r.drop_expired(now)) {
-      const int id = s.request_id;
-      MIB_ENSURE(!done[id], "expired copy of a resolved request");
-      if (copies[id] > 1) {
-        charge_duplicate(s);
-        --copies[id];  // the other copy still carries the request
-        continue;
+      if (ledger.redundant(s.request_id)) {
+        ledger.retire(s, Retire::kDuplicate);
+      } else {
+        ledger.resolve_with(s, RequestStatus::kExpired);
       }
-      --copies[id];
-      record_terminal(s, RequestStatus::kExpired);
-      ++rep.expired;
     }
     if (r.has_work()) {
       r.begin_step(now);
@@ -455,10 +451,12 @@ class FleetRun {
       double cursor = now;  // transfers serialize on the striped fabric
       // Ship one frozen sequence's KV to a peer, or recompute it: nothing
       // resident to move (still queued), recompute mode, or a severed
-      // fabric (counted as an aborted migration).
+      // fabric (counted as an aborted migration). A stray has nowhere to
+      // go and is cancelled here.
       auto drain_one = [&](Sequence s) {
-        MIB_ENSURE(!done[s.request_id], "drained copy of a resolved request");
-        if (!cfg_.migration.migrate_kv || s.kv_tokens() == 0) {
+        if (ledger.resolved(s.request_id)) {
+          ledger.retire(s, Retire::kCancelled);
+        } else if (!cfg_.migration.migrate_kv || s.kv_tokens() == 0) {
           recompute(std::move(s));
         } else if (severed) {
           ++rep.migration_aborts;
@@ -480,10 +478,15 @@ class FleetRun {
           // snapshots copy out behind it (handoffs fire at each copy's
           // completion and re-ship only the delta decoded meanwhile).
           for (auto& s : reps[i].take_waiting()) drain_one(std::move(s));
+          // Running strays are cancelled before any snapshot ships.
+          for (int id : reps[i].resident_ids()) {
+            Sequence s;
+            if (ledger.resolved(id) && reps[i].take(id, &s)) {
+              drain_one(std::move(s));
+            }
+          }
           overlap_drain[i] = true;
           for (const auto& s : reps[i].running()) {
-            MIB_ENSURE(!done[s.request_id],
-                       "drained copy of a resolved request");
             cursor += ship_s(s.kv_tokens());
             park(handoffs, cursor, s, i, now);
           }
@@ -585,19 +588,13 @@ class FleetRun {
           cfg_.control.partition.heal == HealPolicy::kFenceMinority;
       for (int i : active_part->minority_replicas) {
         for (int id : reps[i].resident_ids()) {
-          const bool stray = done[id] != 0;
-          if (!stray && !(fence && copies[id] > 1)) continue;
+          if (!ledger.resolved(id) && !(fence && ledger.copies(id) > 1)) {
+            continue;
+          }
           Sequence s;
           if (!reps[i].take(id, &s)) continue;
           kick_.push_back(i);
-          --copies[id];
-          if (stray) {
-            count_cancelled(s);  // deferred loser-copy cancel
-          } else {
-            charge_duplicate(s);
-            ++rep.fenced_requests;
-            rep.requests[id].fenced = true;
-          }
+          ledger.retire(s, Retire::kFenced);  // a stray is cancelled
         }
       }
       pending_heals.push_back(now);
@@ -636,44 +633,36 @@ class FleetRun {
       kick_.push_back(i);
       for (auto& s : r.complete_step()) {
         const int id = s.request_id;
-        if (done[id]) {
+        if (ledger.resolved(id)) {
           // Both copies finished in the very same step (possibly on the
           // same replica) — the winner already resolved it; this one is a
           // photo-finish loser, cancelled at the completion boundary.
-          MIB_ENSURE(copies[id] > 0, "completed copy of a resolved request");
-          --copies[id];
-          count_cancelled(s);
+          ledger.retire(s, Retire::kCancelled);
           continue;
         }
         if (s.via_router >= 0 && !plane.reply_reachable(i, s.via_router, now)) {
           // Orphaned decode: the copy finished behind an asymmetric cut
           // and its completion cannot reach the side that dispatched it.
           // The replica's work is gone; the client is still waiting.
-          --copies[id];
-          ++rep.orphaned_completions;
-          rep.lost_completion_s += s.served_s;
-          rep.requests[id].orphaned = true;
-          if (copies[id] == 0 && !client_timer_pending[id] &&
-              !arm_client_timer(s.request_id)) {
+          ledger.retire(s, Retire::kOrphaned);
+          if (ledger.copies(id) == 0 && !ledger.patience_pending(id) &&
+              !arm_client_timer(id)) {
             // No copy left anywhere and the client's patience budget is
             // spent: the request is lost with its answer on the wire.
-            record_terminal(s, RequestStatus::kLost);
-            ++rep.lost;
+            ledger.resolve(s, RequestStatus::kLost);
           }
           continue;
         }
         auto& rec = rep.requests[id];
-        record_terminal(s, RequestStatus::kCompleted);
+        ledger.resolve_with(s, RequestStatus::kCompleted);
         rec.first_token_s = s.first_token_s;
         rec.finish_s = finish;
         rec.replica = i;
         rec.prefix_hit = s.prefix_hit;
         rec.won_by_hedge = s.is_hedge;
         if (s.is_hedge) ++rep.hedges_won;
-        cancel_other_copies(s.request_id);
-        --copies[id];
+        cancel_other_copies(id);
         hedge.observe_ttft(rec.ttft());
-        ++rep.completed;
         auto& rr = rep.replicas[i];
         ++rr.completed;
         rr.ttft_s.add(rec.ttft());
@@ -691,7 +680,10 @@ class FleetRun {
       // The sequence may have finished on the source meanwhile (the best
       // outcome), crashed off it, or been cancelled as a hedge loser.
       if (!reps[h.src].take(h.seq.request_id, &s)) continue;
-      MIB_ENSURE(!done[s.request_id], "handed off a resolved request");
+      if (ledger.resolved(s.request_id)) {
+        ledger.retire(s, Retire::kCancelled);  // a stray meets its cutover
+        continue;
+      }
       if (s.kv_tokens() == 0) {
         // Preempted back to zero during the copy: nothing to cut over, the
         // snapshot transfer was wasted — recompute elsewhere.
@@ -725,20 +717,20 @@ class FleetRun {
             // A hedge whose primary already expired or died carries the
             // request alone now — shedding it would leak the request.
             Sequence shed;
-            if (copies[hid] <= 1 || !reps[r].take(hid, &shed)) continue;
+            if (ledger.copies(hid) <= 1 || !reps[r].take(hid, &shed)) {
+              continue;
+            }
             kick_.push_back(r);
-            --copies[hid];
-            ++rep.hedges_shed;
+            ledger.retire(shed, Retire::kShed);
             if (queued_total() < cfg_.admission.queue_capacity) break;
           }
         }
       }
       if (queued_total() >= cfg_.admission.queue_capacity) {
-        record_terminal(s, RequestStatus::kRejected);
-        ++rep.rejected;
+        ledger.resolve(s, RequestStatus::kRejected);
         continue;
       }
-      copies[s.request_id] = 1;
+      ledger.spawn(s.request_id, Spawn::kArrival);
       const double trigger = hedge.trigger_delay();
       if (std::isfinite(trigger)) {
         cal.push(now + trigger, K::kHedge, s.request_id);
@@ -770,7 +762,7 @@ class FleetRun {
   // --- 3j. hedge triggers: re-issue stragglers to a second replica ---
   void on_hedges() {
     for (int id : due(K::kHedge)) {
-      if (done[id]) continue;
+      if (ledger.resolved(id)) continue;
       // One scan per replica answers both "has a copy started" and "does
       // this replica hold a copy".
       bool started = false;
@@ -829,9 +821,7 @@ class FleetRun {
         // original carries the request alone.
         if (!faults.up(idx, now)) continue;
       }
-      ++copies[id];
-      ++rep.hedges_issued;
-      rep.requests[id].hedged = true;
+      ledger.spawn(id, Spawn::kHedge);
       copy.via_router = rtr;
       enqueue(idx, copy);
     }
@@ -845,16 +835,15 @@ class FleetRun {
   // that expires at one instant is served in request-id order.
   void on_client_retries() {
     for (int id : due(K::kClientRetry)) {
-      client_timer_pending[id] = 0;
-      if (done[id]) continue;
-      if (copies[id] == 0) {
+      ledger.clear_patience(id);
+      if (ledger.resolved(id)) continue;
+      if (ledger.copies(id) == 0) {
         // Every copy of this request evaporated — orphaned behind an
         // asymmetric cut with no retry pending. The client's patience
         // expired with nothing in flight: re-send from scratch. This is a
         // fresh dispatch (it re-enters at the home router), not a
         // split-brain duplicate.
-        ++rep.client_resends;
-        ++copies[id];
+        ledger.spawn(id, Spawn::kResend);
         dispatch(blank[id]);
         continue;
       }
@@ -901,10 +890,7 @@ class FleetRun {
       }
       Sequence copy = blank[id];
       copy.is_partition_dup = true;
-      ++copies[id];
-      ++rep.double_dispatches;
-      rep.requests[id].double_dispatched = true;
-      dup_ids.push_back(id);
+      ledger.spawn(id, Spawn::kPartitionDup);
       dispatch_via(rtr, std::move(copy));
       arm_client_timer(id);
     }
@@ -994,10 +980,7 @@ class FleetRun {
   // more than one live copy any more (fence drains at the heal edge;
   // first-commit-wins drains when the last race resolves).
   void settle_heals() {
-    if (pending_heals.empty()) return;
-    for (int id : dup_ids) {
-      if (!done[id] && copies[id] > 1) return;  // still racing
-    }
+    if (pending_heals.empty() || ledger.racing()) return;
     for (double h : pending_heals) {
       rep.partition_heal_lag_s.add(std::max(0.0, now - h));
     }
@@ -1047,41 +1030,6 @@ class FleetRun {
     return q;
   }
 
-  void record_terminal(const Sequence& s, RequestStatus status) {
-    const int u = s.request_id;
-    MIB_ENSURE(!done[u], "request " << s.request_id << " resolved twice");
-    done[u] = 1;
-    auto& rec = rep.requests[u];
-    rec.status = status;
-    rec.arrival_s = s.arrival_s;
-    rec.input_tokens = s.input_tokens;
-    rec.output_tokens = s.output_tokens;
-    rec.retries = s.retries;
-    rec.had_prefix = s.prefix_hash != 0;
-    ++resolved;
-  }
-
-  // Price the waste when a copy of a double-dispatched request is removed:
-  // whatever replica time it consumed served nobody, but the fleet paid
-  // for it. A no-op for everything else (hedges keep their own counters).
-  void charge_duplicate(const Sequence& s) {
-    if (rep.requests[s.request_id].double_dispatched) {
-      rep.duplicate_decode_s += s.served_s;
-    }
-  }
-
-  // Loser-copy accounting: split-brain duplicates are priced as waste,
-  // everything else counts toward hedges_cancelled. (Never both: a
-  // double-dispatched request's copies would otherwise push the hedge
-  // counter past hedges_issued.)
-  void count_cancelled(const Sequence& s) {
-    if (rep.requests[s.request_id].double_dispatched) {
-      rep.duplicate_decode_s += s.served_s;
-    } else {
-      ++rep.hedges_cancelled;
-    }
-  }
-
   // Arm (or re-arm) the client's patience timer for `id` now. Attempt k
   // fires after client_retry_s * retry_multiplier^(k-1), shrunk by full
   // jitter when retry_jitter > 0; the jitter key is a distinct salt from
@@ -1091,12 +1039,12 @@ class FleetRun {
   // are a single fixed patience.
   bool arm_client_timer(int id) {
     const auto& pc = cfg_.control.partition;
-    if (client_timer_pending[id] ||
+    if (ledger.patience_pending(id) ||
         client_attempts[id] >= pc.max_client_retries) {
       return false;
     }
     const int attempt = ++client_attempts[id];
-    client_timer_pending[id] = 1;
+    ledger.arm_patience(id);
     double delay = pc.client_retry_s;
     for (int k = 1; k < attempt; ++k) delay *= pc.retry_multiplier;
     if (pc.retry_jitter > 0.0) {
@@ -1224,7 +1172,7 @@ class FleetRun {
   // hedge can land on the same replica, and the winning copy is already
   // out of the running set by the time this runs.
   void cancel_other_copies(int id) {
-    if (copies[id] <= 1) return;
+    if (ledger.copies(id) == 0) return;
     for (int r = 0; r < pool; ++r) {
       // A cancel cannot cross an active partition unless the cut leaves
       // the majority->minority direction open: a stray copy behind a full
@@ -1232,16 +1180,14 @@ class FleetRun {
       // as a photo-finish loser).
       if (!plane.cancel_reachable(r, now)) continue;
       Sequence s;
-      while (copies[id] > 1 && reps[r].take(id, &s)) {
+      while (ledger.copies(id) > 0 && reps[r].take(id, &s)) {
         kick_.push_back(r);
-        --copies[id];
-        count_cancelled(s);
+        ledger.retire(s, Retire::kCancelled);
       }
     }
     auto drop = [&](const Sequence& s) {
       if (s.request_id != id) return false;
-      count_cancelled(s);
-      --copies[id];
+      ledger.retire(s, Retire::kCancelled);
       return true;
     };
     for (auto* q : {&retries, &migrations, &router_pending}) {
@@ -1264,16 +1210,12 @@ class FleetRun {
     for (auto& s : stranded[i]) work.push_back(s);
     stranded[i].clear();
     for (auto& s : work) {
-      const int id = s.request_id;
-      if (done[id] || copies[id] > 1) {
-        charge_duplicate(s);
-        --copies[id];  // another copy carries the request (or it's over)
+      if (ledger.redundant(s.request_id)) {
+        ledger.retire(s, Retire::kCrashRelease);
         continue;
       }
       if (s.retries >= cfg_.retry.max_retries) {
-        record_terminal(s, RequestStatus::kLost);
-        --copies[id];
-        ++rep.lost;
+        ledger.resolve_with(s, RequestStatus::kLost);
         continue;
       }
       ++s.retries;
@@ -1325,11 +1267,10 @@ class FleetRun {
     // (every request is already resolved — these served nobody).
     for (int i = 0; partitions && i < pool; ++i) {
       for (int id : reps[i].resident_ids()) {
-        MIB_ENSURE(done[id], "unresolved request still resident at end of run");
+        MIB_ENSURE(ledger.resolved(id),
+                   "unresolved request still resident at end of run");
         Sequence s;
-        if (!reps[i].take(id, &s)) continue;
-        count_cancelled(s);
-        --copies[id];
+        if (reps[i].take(id, &s)) ledger.retire(s, Retire::kCancelled);
       }
     }
 
@@ -1433,6 +1374,7 @@ class FleetRun {
   std::vector<std::string> spread_group = std::vector<std::string>(pool);
 
   FleetReport rep = empty_report();
+  CopyLedger ledger{rep};
 
   // Waiting queues: each entry wakes the loop at its own time.
   /// Backoff retries, drain re-dispatches and parked dispatches.
@@ -1451,31 +1393,20 @@ class FleetRun {
   /// Unplanned-failure start times awaiting detection (lag metric).
   std::vector<double> fault_started_at = std::vector<double>(pool, -1.0);
 
-  // Per-request resolution and copy accounting. `copies[id]` counts live
-  // copies of a request anywhere in the system (replica queues, retry
-  // holds, stranded lists, migrations); hedging and split-brain double
-  // dispatch are the only ways it exceeds 1.
-  std::vector<char> done = std::vector<char>(n, 0);
-  std::vector<int> copies = std::vector<int>(n, 0);
-
   // Split-brain state: the client's retry patience arms a timer per
   // affected dispatch; when it fires with the partition still up and no
   // first token visible, the majority admits a duplicate copy. With
   // max_client_retries > 1 the patience re-arms on a full-jitter
   // exponential backoff (the gray-failure client model); the defaults are
   // a single fixed timer.
-  /// Patience attempts armed so far per request, and whether one is
-  /// currently pending in the calendar (as a kClientRetry entry).
+  /// Patience attempts armed so far per request (the ledger knows
+  /// whether one is pending in the calendar).
   std::vector<int> client_attempts = std::vector<int>(n, 0);
-  std::vector<char> client_timer_pending = std::vector<char>(n, 0);
-  /// Requests ever double-dispatched (heal-lag drain scan).
-  std::vector<int> dup_ids;
   /// Heal edges whose duplicates have not all resolved yet.
   std::vector<double> pending_heals;
   const PartitionWindow* active_part = plane.partition_at(0.0);
 
   std::size_t next_arrival = 0;
-  std::size_t resolved = 0;
   double now = 0.0;
   double prev_pass = 0.0;  ///< time of the previous pass
   bool first_pass = true;

@@ -301,6 +301,51 @@ TEST(Partition, ConflictingAutoscalerSignals) {
   EXPECT_GT(r.autoscaler_conflicts, 0);
 }
 
+// A stray is a copy of an already-resolved request left behind a cut: the
+// cancel cannot reach the minority replica, so the copy stays there until
+// the heal unless a deadline, a drain or an overlap cutover meets it first.
+// Small batches and a burst at 800 qps keep hedges and client duplicates
+// queued on the minority replica long after their twins finished.
+FleetConfig stray_cfg(std::uint64_t seed, HealPolicy heal) {
+  FleetConfig fc = base_cfg(3);
+  fc.seed = seed;
+  fc.replica.max_batch = 4;
+  fc.control.routers = 2;
+  fc.control.partition.enabled = true;
+  fc.control.partition.heal = heal;
+  fc.control.partition.client_retry_s = 0.01;
+  fc.control.partition.windows = {window(0.05, 1.5, {1}, {2})};
+  fc.hedge.enabled = true;
+  fc.hedge.delay_s = 0.02;
+  return fc;
+}
+
+TEST(Partition, StrayCopiesAreCancelledWhereTheyMeetADeadlineDrainOrCutover) {
+  for (HealPolicy heal :
+       {HealPolicy::kFenceMinority, HealPolicy::kFirstCommitWins}) {
+    SCOPED_TRACE(heal_policy_name(heal));
+    FleetConfig expiry = stray_cfg(2, heal);
+    expiry.admission.deadline_s = 0.8;
+    FleetConfig drain = stray_cfg(2, heal);
+    drain.maintenance = {{2, 0.6, 0.8}};
+    FleetConfig cutover = stray_cfg(1, heal);
+    cutover.migration.overlap_decode = true;
+    cutover.migration.per_sequence_overhead_s = 0.05;
+    cutover.maintenance = {{2, 1.09, 1.39}};
+    const std::pair<const FleetConfig*, std::vector<FleetRequest>> runs[] = {
+        {&expiry, uniform_trace(40, 800.0, 256, 64, 14)},
+        {&drain, uniform_trace(40, 800.0, 256, 64, 14)},
+        {&cutover, uniform_trace(60, 800.0, 256, 64, 7)},
+    };
+    for (const auto& [fc, trace] : runs) {
+      FleetReport r;
+      ASSERT_NO_THROW(r = FleetSimulator(*fc).run(trace));
+      assert_split_brain_invariants(r);
+      EXPECT_GT(r.hedges_cancelled, 0);
+    }
+  }
+}
+
 TEST(Partition, MetricsStayZeroWithoutPartitions) {
   FleetConfig fc = base_cfg(2);
   fc.control.routers = 2;
