@@ -1,9 +1,11 @@
 // The two clocks of the fleet loop. The next pass of FleetSimulator::run
 // happens at the earliest of:
-//   * the event calendar: a min-heap of (time, kind, target) entries for
-//     timers and schedule edges whose state lives elsewhere (a replica's
-//     step end, a breaker deadline, a heartbeat, a view sync, a hedge
-//     trigger, client patience, an autoscaler tick);
+//   * the event calendar: min-heaps of (time, kind, target) entries for
+//     timers and schedule edges whose state lives elsewhere. A run keeps
+//     two: one for replicas' step ends (at most one live entry per
+//     replica) and one for everything else (a breaker deadline, a
+//     heartbeat, a view sync, a hedge trigger, client patience, an
+//     autoscaler tick, a schedule edge);
 //   * the waiting queues: work parked until a wake time (retries, KV
 //     migrations, overlap-drain handoffs, router fail-overs), one
 //     WaitQueue each, and the next trace arrival, held in arrival order.
@@ -11,7 +13,10 @@
 // Calendar entries pop in (time, kind, target) order. `EventKind` lists the
 // kinds in the order the loop's handlers run within one pass, so entries
 // due at the same time reach their handlers in handler order, then target
-// order.
+// order. When the earliest step end comes strictly before everything else,
+// the pass pops the step-end heap alone and runs only the step-end handler
+// and the two that act on every pass; a tie makes a full pass that pops
+// both heaps. The split adds and removes no pass.
 //
 // Owners never search the heap to move or cancel an entry: they push a new
 // one and leave the old one behind. The loop asks its `live` predicate

@@ -168,12 +168,13 @@ struct Pending {
   double since = 0.0;
 };
 
-/// One FleetSimulator::run: the fleet's state, the event calendar and the
-/// waiting queues that decide when the next pass happens, and one handler
-/// per subsystem. Within a pass the calendar's handlers run in EventKind
-/// order, and the waiting queues are served between step ends and hedge
-/// triggers; the timed handlers visit only the replicas their due calendar
-/// entries name.
+/// One FleetSimulator::run: the fleet's state, the step-end heap, the event
+/// calendar and the waiting queues that decide when the next pass happens,
+/// and one handler per subsystem. Within a pass the calendar's handlers run
+/// in EventKind order, and the waiting queues are served between step ends
+/// and hedge triggers; the timed handlers visit only the replicas their due
+/// entries name. A pass with only step ends due runs the step-end handler
+/// and the two that act on every pass, and nothing else.
 class FleetRun {
   using K = EventKind;
 
@@ -270,23 +271,14 @@ class FleetRun {
     while (ledger.resolved_total() < n) {
       kick_idle();
       if (ledger.resolved_total() >= n) break;
-      advance_clock();
-      on_heartbeats();
-      on_scale_edges();
-      on_maintenance_edges();
-      on_fault_edges();
-      on_breakers();
-      sync_views();
-      on_partition_edge();
-      on_step_ends();
-      on_handoffs();
-      for (auto& p : migrations.take_due(now)) dispatch(std::move(p.seq));
-      on_arrivals();
-      for (auto& p : retries.take_due(now)) dispatch(std::move(p.seq));
-      on_router_failovers();
-      on_hedges();
-      on_client_retries();
-      on_autoscaler();
+      if (advance_clock()) {
+        // Only step ends are due: every other handler would find nothing
+        // to do. View refresh and heal settling act on every pass.
+        sync_views();
+        on_step_ends();
+      } else {
+        full_pass();
+      }
       settle_heals();
       MIB_ENSURE(steps_begun <= max_steps,
                  "fleet exceeded its step bound (livelock?)");
@@ -311,6 +303,16 @@ class FleetRun {
 
   /// Due targets of one kind in this pass.
   std::vector<int>& due(K kind) { return due_[static_cast<std::size_t>(kind)]; }
+
+  void mark_due(K kind, int target) {
+    auto& d = due(kind);
+    if (d.empty()) filled_.push_back(kind);
+    d.push_back(target);
+  }
+
+  bool is_due(K kind) const {
+    return !due_[static_cast<std::size_t>(kind)].empty();
+  }
 
   static void park(WaitQueue<Pending>& queue, double wake, Sequence seq,
                    int src = -1, double since = 0.0) {
@@ -374,20 +376,23 @@ class FleetRun {
     if (r.has_work()) {
       r.begin_step(now);
       ++steps_begun;
-      cal.push(r.step_end_s(), K::kStepEnd, i);
+      step_ends.push(r.step_end_s(), K::kStepEnd, i);
     }
   }
 
-  // --- 2. next pass: the calendar's earliest live entry, the next
-  // arrival, or the first entry of a waiting queue, whichever is first ---
-  void advance_clock() {
-    double t_next = cal.next([this](const Event& e) { return live(e); });
+  // --- 2. next pass: the earliest live step end, calendar entry, arrival
+  // or waiting-queue entry. Returns true when only step ends are due ---
+  bool advance_clock() {
+    const auto is_live = [this](const Event& e) { return live(e); };
+    const double t_step = step_ends.next(is_live);
+    double t_other = cal.next(is_live);
     if (next_arrival < n) {
-      t_next = std::min(t_next, blank[intake[next_arrival]].arrival_s);
+      t_other = std::min(t_other, blank[intake[next_arrival]].arrival_s);
     }
     for (const auto* q : {&handoffs, &migrations, &retries, &router_pending}) {
-      t_next = std::min(t_next, q->next());
+      t_other = std::min(t_other, q->next());
     }
+    const double t_next = std::min(t_step, t_other);
     MIB_ENSURE(std::isfinite(t_next), "fleet event loop stalled");
     MIB_ENSURE(t_next >= now - 1e-12, "fleet simulation time went backwards");
     prev_pass = now;
@@ -396,20 +401,53 @@ class FleetRun {
     // two routers held different breaker snapshots.
     plane.accumulate_disagreement(prev_pass, now);
 
-    for (auto& d : due_) d.clear();
-    cal.pop_due(now,
-                [this](const Event& e) { due(e.kind).push_back(e.target); });
+    for (K k : filled_) due(k).clear();
+    filled_.clear();
+    auto collect = [this](const Event& e) { mark_due(e.kind, e.target); };
+    step_ends.pop_due(now, collect);
+    // Only step ends are due when everything else comes strictly later. A
+    // tie makes a full pass, so an arrival at a step end's very instant
+    // joins the step that begins there.
+    const bool step_ends_only = !first_pass && t_step < t_other;
+    if (!step_ends_only) cal.pop_due(now, collect);
     for (int i = 0; first_pass && i < pool; ++i) {
       // Before the first pass every replica is up, in service and at full
       // speed; the first pass diffs each one against that.
       for (K k : {K::kScaleEdge, K::kMaintenanceEdge, K::kFaultEdge}) {
-        due(k).push_back(i);
+        mark_due(k, i);
       }
     }
-    for (auto& d : due_) {
+    for (K k : filled_) {
+      auto& d = due(k);
       std::sort(d.begin(), d.end());
       d.erase(std::unique(d.begin(), d.end()), d.end());
     }
+    return step_ends_only;
+  }
+
+  // --- 3. a pass with more than step ends due: each handler runs when its
+  // kind or its waiting queue's head is due, in handler order ---
+  void full_pass() {
+    if (is_due(K::kHeartbeat)) on_heartbeats();
+    if (is_due(K::kScaleEdge)) on_scale_edges();
+    if (is_due(K::kMaintenanceEdge)) on_maintenance_edges();
+    if (is_due(K::kFaultEdge)) on_fault_edges();
+    if (is_due(K::kBreaker)) on_breakers();
+    sync_views();
+    if (is_due(K::kPlaneEdge)) on_partition_edge();
+    if (is_due(K::kStepEnd)) on_step_ends();
+    if (handoffs.next() <= now) on_handoffs();
+    if (migrations.next() <= now) {
+      for (auto& p : migrations.take_due(now)) dispatch(std::move(p.seq));
+    }
+    on_arrivals();
+    if (retries.next() <= now) {
+      for (auto& p : retries.take_due(now)) dispatch(std::move(p.seq));
+    }
+    if (router_pending.next() <= now) on_router_failovers();
+    if (is_due(K::kHedge)) on_hedges();
+    if (is_due(K::kClientRetry)) on_client_retries();
+    if (is_due(K::kAutoscale)) on_autoscaler();
   }
 
   // --- 3a. heartbeats emitted now (monitor mode) ---
@@ -575,7 +613,6 @@ class FleetRun {
   // Every cut and heal edge after t = 0 is a kPlaneEdge entry, so the cut
   // can change only on a pass where one is due.
   void on_partition_edge() {
-    if (due(K::kPlaneEdge).empty()) return;
     const PartitionWindow* cur = plane.partition_at(now);
     if (cur == active_part) return;
     if (active_part != nullptr) {
@@ -898,7 +935,6 @@ class FleetRun {
 
   // --- 3k. autoscaler tick ---
   void on_autoscaler() {
-    if (due(K::kAutoscale).empty()) return;
     if (plane.partition_at(now) != nullptr) {
       const int d_major = tick_side(0);
       const int d_minor = tick_side(1);
@@ -1414,9 +1450,14 @@ class FleetRun {
   long long max_steps = 0;
   long long steps_begun = 0;
 
+  /// Every timer and edge but step ends.
   Calendar cal;
+  /// Step ends: at most one live entry per replica.
+  Calendar step_ends;
   std::vector<std::vector<int>> due_ =
       std::vector<std::vector<int>>(static_cast<std::size_t>(K::kCount));
+  /// Kinds with targets in due_ this pass.
+  std::vector<K> filled_;
   /// Replicas that may have turned idle-with-work and in service, or lost
   /// a copy or a pending handoff, since the last kick: the next kick
   /// examines only these.

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
+#include "engine/layer_cost.h"
 #include "hw/cluster.h"
 #include "models/zoo.h"
 #include "workload/arrivals.h"
@@ -155,6 +159,37 @@ TEST(Fleet, ReplicaReportsConsistentWithFleetTotals) {
   EXPECT_EQ(completed, r.completed);
   EXPECT_GT(steps, 0);
   EXPECT_EQ(r.replicas_used, 3);
+}
+
+TEST(Fleet, ArrivalAtAStepEndJoinsTheStepThatBegins) {
+  // One replica, health off: request A (256/64) arrives at t = 0 and its
+  // prefill step ends at t1. A request B arriving at t1 is served in the
+  // same pass as that step end, so it joins the step that begins there
+  // exactly like a B that arrived just before; one arriving just after
+  // waits for the next step.
+  auto cfg = base_cfg(1);
+  cfg.health.enabled = false;
+  const engine::LayerCostModel cost(cfg.engine.model, cfg.engine.cluster,
+                                    cfg.engine.plan, cfg.engine.cost);
+  // Summed as Replica::begin_step prices a lone prefill chunk: the body,
+  // then the LM head and per-step overhead.
+  const auto pf = cost.prefill(1, 256);
+  const double t1 =
+      (pf.total() - pf.head - pf.overhead) + (pf.head + pf.overhead);
+  auto b_first_token = [&](double b_arrival) {
+    auto trace = as_fleet_trace(engine::make_uniform_batch(2, 256, 64));
+    trace[1].request.arrival_s = b_arrival;
+    const auto r = FleetSimulator(cfg).run(trace);
+    EXPECT_EQ(r.completed, 2);
+    EXPECT_EQ(r.requests[0].first_token_s, t1);
+    return r.requests[1].first_token_s;
+  };
+  const double at = b_first_token(t1);
+  const double before = b_first_token(std::nextafter(t1, 0.0));
+  const double after =
+      b_first_token(std::nextafter(t1, std::numeric_limits<double>::infinity()));
+  EXPECT_EQ(at, before);
+  EXPECT_GT(after, at);
 }
 
 TEST(Fleet, ConfigValidation) {
