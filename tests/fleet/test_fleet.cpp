@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 
-#include "engine/layer_cost.h"
 #include "hw/cluster.h"
 #include "models/zoo.h"
 #include "workload/arrivals.h"
@@ -169,13 +168,11 @@ TEST(Fleet, ArrivalAtAStepEndJoinsTheStepThatBegins) {
   // waits for the next step.
   auto cfg = base_cfg(1);
   cfg.health.enabled = false;
-  const engine::LayerCostModel cost(cfg.engine.model, cfg.engine.cluster,
-                                    cfg.engine.plan, cfg.engine.cost);
-  // Summed as Replica::begin_step prices a lone prefill chunk: the body,
-  // then the LM head and per-step overhead.
-  const auto pf = cost.prefill(1, 256);
   const double t1 =
-      (pf.total() - pf.head - pf.overhead) + (pf.head + pf.overhead);
+      FleetSimulator(cfg)
+          .run(as_fleet_trace(engine::make_uniform_batch(1, 256, 64)))
+          .requests[0]
+          .first_token_s;
   auto b_first_token = [&](double b_arrival) {
     auto trace = as_fleet_trace(engine::make_uniform_batch(2, 256, 64));
     trace[1].request.arrival_s = b_arrival;
