@@ -1,22 +1,25 @@
 // The two clocks of the fleet loop. The next pass of FleetSimulator::run
 // happens at the earliest of:
-//   * the event calendar: min-heaps of (time, kind, target) entries for
-//     timers and schedule edges whose state lives elsewhere. A run keeps
-//     two: one for replicas' step ends (at most one live entry per
-//     replica) and one for everything else (a breaker deadline, a
-//     heartbeat, a view sync, a hedge trigger, client patience, an
-//     autoscaler tick, a schedule edge);
+//   * the event calendar: a min-heap of (time, kind, target) entries for
+//     timers and schedule edges whose state lives elsewhere (a breaker
+//     deadline, a heartbeat, a view sync, a hedge trigger, client patience,
+//     an autoscaler tick, a schedule edge);
 //   * the waiting queues: work parked until a wake time (retries, KV
 //     migrations, overlap-drain handoffs, router fail-overs), one
-//     WaitQueue each, and the next trace arrival, held in arrival order.
+//     WaitQueue each, and the next trace arrival, held in arrival order;
+// or at the earliest step end, which is on neither clock: each is its
+// replica's own state. An independent run (see fleet/fleet.h) advances its
+// replicas' step ends in windows up to the earlier of the two clocks;
+// every other run gives each step end a pass of its own.
 //
 // Calendar entries pop in (time, kind, target) order. `EventKind` lists the
 // kinds in the order the loop's handlers run within one pass, so entries
 // due at the same time reach their handlers in handler order, then target
-// order. When the earliest step end comes strictly before everything else,
-// the pass pops the step-end heap alone and runs only the step-end handler
-// and the two that act on every pass; a tie makes a full pass that pops
-// both heaps. The split adds and removes no pass.
+// order; `kStepEnd` marks where the step ends due, read off the replicas,
+// take their turn. When the earliest step end comes strictly before
+// everything else, the pass leaves the calendar alone and runs only the
+// step-end handler and the two that act on every pass; a tie makes a full
+// pass.
 //
 // Owners never search the heap to move or cancel an entry: they push a new
 // one and leave the old one behind. The loop asks its `live` predicate
@@ -46,7 +49,8 @@ enum class EventKind : unsigned char {
   kBreaker,          ///< target replica's breaker deadline
   kViewSync,         ///< target router's view-sync deadline
   kPlaneEdge,        ///< router fault, partition or quorum-fence edge
-  kStepEnd,          ///< target replica's engine step ends
+  kStepEnd,          ///< target replica's engine step ends (a due kind
+                     ///< only: step ends are not calendar entries)
   kHedge,            ///< hedge trigger of request target
   kClientRetry,      ///< client patience of request target expires
   kAutoscale,        ///< autoscaler tick

@@ -168,13 +168,15 @@ struct Pending {
   double since = 0.0;
 };
 
-/// One FleetSimulator::run: the fleet's state, the step-end heap, the event
-/// calendar and the waiting queues that decide when the next pass happens,
-/// and one handler per subsystem. Within a pass the calendar's handlers run
-/// in EventKind order, and the waiting queues are served between step ends
-/// and hedge triggers; the timed handlers visit only the replicas their due
-/// entries name. A pass with only step ends due runs the step-end handler
-/// and the two that act on every pass, and nothing else.
+/// One FleetSimulator::run: the fleet's state, the event calendar, the
+/// waiting queues and the replicas' step ends that decide when the next
+/// pass happens, and one handler per subsystem. Within a pass the
+/// calendar's handlers run in EventKind order, and the waiting queues are
+/// served between step ends and hedge triggers; the timed handlers visit
+/// only the replicas their due entries name. An independent run steps its
+/// replicas on their own between passes (step_window); in any other run a
+/// pass with only step ends due runs the step-end handler and the two that
+/// act on every pass, and nothing else.
 class FleetRun {
   using K = EventKind;
 
@@ -270,6 +272,7 @@ class FleetRun {
   FleetReport run() {
     while (ledger.resolved_total() < n) {
       kick_idle();
+      if (independent && !first_pass) step_window();
       if (ledger.resolved_total() >= n) break;
       if (advance_clock()) {
         // Only step ends are due: every other handler would find nothing
@@ -292,13 +295,7 @@ class FleetRun {
   // --- calendar and waiting queues ---
 
   bool live(const Event& e) const {
-    switch (e.kind) {
-      case K::kStepEnd:
-        return reps[e.target].mid_step() &&
-               reps[e.target].step_end_s() == e.time;
-      case K::kBreaker: return monitor.deadline(e.target) == e.time;
-      default: return true;
-    }
+    return e.kind != K::kBreaker || monitor.deadline(e.target) == e.time;
   }
 
   /// Due targets of one kind in this pass.
@@ -343,18 +340,22 @@ class FleetRun {
     kick_.erase(std::unique(kick_.begin(), kick_.end()), kick_.end());
     for (int i : kick_) {
       kick(i);
-      // An overlap drain completes when the last sequence has cut over: the
-      // source is empty, no snapshot copies are pending, and the node can
-      // finally go down for its maintenance. Only a touched replica can
-      // have got there since the last pass.
-      Replica& r = reps[i];
-      if (overlap_drain[i] && !r.mid_step() && !r.has_work() &&
-          !handoffs.any([i](const Pending& h) { return h.src == i; })) {
-        overlap_drain[i] = false;
-        r.take_all();  // empty already: leaves the node cold
-      }
+      end_overlap_drain(i);
     }
     kick_.clear();
+  }
+
+  // An overlap drain completes when the last sequence has cut over: the
+  // source is empty, no snapshot copies are pending, and the node can
+  // finally go down for its maintenance. Only a touched replica can have
+  // got there since the last pass.
+  void end_overlap_drain(int i) {
+    Replica& r = reps[i];
+    if (overlap_drain[i] && !r.mid_step() && !r.has_work() &&
+        !handoffs.any([i](const Pending& h) { return h.src == i; })) {
+      overlap_drain[i] = false;
+      r.take_all();  // empty already: leaves the node cold
+    }
   }
 
   void kick(int i) {
@@ -376,22 +377,90 @@ class FleetRun {
     if (r.has_work()) {
       r.begin_step(now);
       ++steps_begun;
-      step_ends.push(r.step_end_s(), K::kStepEnd, i);
     }
   }
 
-  // --- 2. next pass: the earliest live step end, calendar entry, arrival
-  // or waiting-queue entry. Returns true when only step ends are due ---
-  bool advance_clock() {
-    const auto is_live = [this](const Event& e) { return live(e); };
-    const double t_step = step_ends.next(is_live);
-    double t_other = cal.next(is_live);
+  // --- 1'. an independent run steps each replica on its own up to the
+  // next fleet event ---
+  // Here a step end touches only its own replica and the ledger and report
+  // rows of the requests it completes, so replica-major order equals time
+  // order: the window runs, one replica after another, every step end the
+  // loop would have given a pass of its own. A step end tied with the next
+  // fleet event waits for that event's full pass.
+  void step_window() {
+    const double t_other = next_fleet_event();
+    double last = now;
+    for (int i = 0; i < pool; ++i) {
+      Replica& r = reps[i];
+      while (r.mid_step() && r.step_end_s() < t_other) {
+        now = r.step_end_s();
+        last = std::max(last, now);
+        end_step(i);
+        kick(i);
+        end_overlap_drain(i);
+        MIB_ENSURE(steps_begun <= max_steps,
+                   "fleet exceeded its step bound (livelock?)");
+      }
+    }
+    // The time of the last pass the per-pass loop would have made.
+    now = last;
+  }
+
+  /// The earliest live calendar entry, arrival or waiting-queue entry:
+  /// everything that wakes the loop except a step end.
+  double next_fleet_event() {
+    double t = cal.next([this](const Event& e) { return live(e); });
     if (next_arrival < n) {
-      t_other = std::min(t_other, blank[intake[next_arrival]].arrival_s);
+      t = std::min(t, blank[intake[next_arrival]].arrival_s);
     }
     for (const auto* q : {&handoffs, &migrations, &retries, &router_pending}) {
-      t_other = std::min(t_other, q->next());
+      t = std::min(t, q->next());
     }
+    return t;
+  }
+
+  /// Nothing could still resolve a request: no arrival is left, no copy
+  /// sits on a replica, in a waiting queue or in a stranded list, and no
+  /// hedge trigger or client patience is pending. The caller has found no
+  /// replica mid-step.
+  bool stalled() const {
+    if (next_arrival < n) return false;
+    for (const auto& r : reps) {
+      if (r.has_work()) return false;
+    }
+    for (const auto* q : {&handoffs, &migrations, &retries, &router_pending}) {
+      if (!q->empty()) return false;
+    }
+    for (const auto& list : stranded) {
+      if (!list.empty()) return false;
+    }
+    return std::isinf(cal.earliest([](const Event& e) {
+      return e.kind == K::kHedge || e.kind == K::kClientRetry;
+    }));
+  }
+
+  // --- 2. next pass: the earliest step end, calendar entry, arrival or
+  // waiting-queue entry. Returns true when only step ends are due ---
+  bool advance_clock() {
+    // One scan of the replicas finds the earliest step end and the
+    // replicas it falls on, in index order.
+    double t_step = kInf;
+    ending_.clear();
+    for (int i = 0; i < pool; ++i) {
+      const Replica& r = reps[i];
+      if (!r.mid_step() || r.step_end_s() > t_step) continue;
+      if (r.step_end_s() < t_step) {
+        t_step = r.step_end_s();
+        ending_.clear();
+      }
+      ending_.push_back(i);
+    }
+    // Heartbeats re-arm forever, so a run that lost its last copies would
+    // otherwise pass on them without end.
+    MIB_ENSURE(std::isfinite(t_step) || !stalled(),
+               "fleet stalled: " << n - ledger.resolved_total()
+                                 << " requests unresolved with no copy left");
+    const double t_other = next_fleet_event();
     const double t_next = std::min(t_step, t_other);
     MIB_ENSURE(std::isfinite(t_next), "fleet event loop stalled");
     MIB_ENSURE(t_next >= now - 1e-12, "fleet simulation time went backwards");
@@ -403,13 +472,13 @@ class FleetRun {
 
     for (K k : filled_) due(k).clear();
     filled_.clear();
-    auto collect = [this](const Event& e) { mark_due(e.kind, e.target); };
-    step_ends.pop_due(now, collect);
     // Only step ends are due when everything else comes strictly later. A
     // tie makes a full pass, so an arrival at a step end's very instant
     // joins the step that begins there.
     const bool step_ends_only = !first_pass && t_step < t_other;
-    if (!step_ends_only) cal.pop_due(now, collect);
+    if (!step_ends_only) {
+      cal.pop_due(now, [this](const Event& e) { mark_due(e.kind, e.target); });
+    }
     for (int i = 0; first_pass && i < pool; ++i) {
       // Before the first pass every replica is up, in service and at full
       // speed; the first pass diffs each one against that.
@@ -421,6 +490,11 @@ class FleetRun {
       auto& d = due(k);
       std::sort(d.begin(), d.end());
       d.erase(std::unique(d.begin(), d.end()), d.end());
+    }
+    if (t_step <= now) {
+      // The scan found them in index order already.
+      filled_.push_back(K::kStepEnd);
+      due(K::kStepEnd).swap(ending_);
     }
     return step_ends_only;
   }
@@ -664,48 +738,52 @@ class FleetRun {
   // --- 3f. step completions (first finished copy wins) ---
   void on_step_ends() {
     for (int i : due(K::kStepEnd)) {
-      Replica& r = reps[i];
-      if (!r.mid_step() || r.step_end_s() > now) continue;
-      const double finish = r.step_end_s();
+      if (!reps[i].mid_step() || reps[i].step_end_s() > now) continue;
       kick_.push_back(i);
-      for (auto& s : r.complete_step()) {
-        const int id = s.request_id;
-        if (ledger.resolved(id)) {
-          // Both copies finished in the very same step (possibly on the
-          // same replica) — the winner already resolved it; this one is a
-          // photo-finish loser, cancelled at the completion boundary.
-          ledger.retire(s, Retire::kCancelled);
-          continue;
-        }
-        if (s.via_router >= 0 && !plane.reply_reachable(i, s.via_router, now)) {
-          // Orphaned decode: the copy finished behind an asymmetric cut
-          // and its completion cannot reach the side that dispatched it.
-          // The replica's work is gone; the client is still waiting.
-          ledger.retire(s, Retire::kOrphaned);
-          if (ledger.copies(id) == 0 && !ledger.patience_pending(id) &&
-              !arm_client_timer(id)) {
-            // No copy left anywhere and the client's patience budget is
-            // spent: the request is lost with its answer on the wire.
-            ledger.resolve(s, RequestStatus::kLost);
-          }
-          continue;
-        }
-        auto& rec = rep.requests[id];
-        ledger.resolve_with(s, RequestStatus::kCompleted);
-        rec.first_token_s = s.first_token_s;
-        rec.finish_s = finish;
-        rec.replica = i;
-        rec.prefix_hit = s.prefix_hit;
-        rec.won_by_hedge = s.is_hedge;
-        if (s.is_hedge) ++rep.hedges_won;
-        cancel_other_copies(id);
-        hedge.observe_ttft(rec.ttft());
-        auto& rr = rep.replicas[i];
-        ++rr.completed;
-        rr.ttft_s.add(rec.ttft());
-        rr.itl_s.add(rec.itl());
-        rr.e2e_s.add(rec.e2e());
+      end_step(i);
+    }
+  }
+
+  void end_step(int i) {
+    Replica& r = reps[i];
+    const double finish = r.step_end_s();
+    for (auto& s : r.complete_step()) {
+      const int id = s.request_id;
+      if (ledger.resolved(id)) {
+        // Both copies finished in the very same step (possibly on the
+        // same replica) — the winner already resolved it; this one is a
+        // photo-finish loser, cancelled at the completion boundary.
+        ledger.retire(s, Retire::kCancelled);
+        continue;
       }
+      if (s.via_router >= 0 && !plane.reply_reachable(i, s.via_router, now)) {
+        // Orphaned decode: the copy finished behind an asymmetric cut
+        // and its completion cannot reach the side that dispatched it.
+        // The replica's work is gone; the client is still waiting.
+        ledger.retire(s, Retire::kOrphaned);
+        if (ledger.copies(id) == 0 && !ledger.patience_pending(id) &&
+            !arm_client_timer(id)) {
+          // No copy left anywhere and the client's patience budget is
+          // spent: the request is lost with its answer on the wire.
+          ledger.resolve(s, RequestStatus::kLost);
+        }
+        continue;
+      }
+      auto& rec = rep.requests[id];
+      ledger.resolve_with(s, RequestStatus::kCompleted);
+      rec.first_token_s = s.first_token_s;
+      rec.finish_s = finish;
+      rec.replica = i;
+      rec.prefix_hit = s.prefix_hit;
+      rec.won_by_hedge = s.is_hedge;
+      if (s.is_hedge) ++rep.hedges_won;
+      cancel_other_copies(id);
+      hedge.observe_ttft(rec.ttft());
+      auto& rr = rep.replicas[i];
+      ++rr.completed;
+      rr.ttft_s.add(rec.ttft());
+      rr.itl_s.add(rec.itl());
+      rr.e2e_s.add(rec.e2e());
     }
   }
 
@@ -1396,8 +1474,16 @@ class FleetRun {
   // Every partition query answers "no cut" when no window is configured.
   // This flag gates only what would still differ: the per-pass refresh of
   // router views (sync_views), the end-of-run sweep of stray minority
-  // copies (finish), and the partition factor of the step bound.
+  // copies (finish), the partition factor of the step bound, and whether
+  // the run is independent.
   const bool partitions = plane.partition_enabled();
+  // A step end reaches past its own replica only by cancelling another copy
+  // (hedging or partitions), by orphaning a reply or arming client patience
+  // (partitions), or through views refreshed and disagreement summed on
+  // every pass (partitions or stale views). Without any of them each
+  // replica steps on its own between fleet events (step_window).
+  const bool independent =
+      !partitions && !cfg_.hedge.enabled && !plane.stale_views();
   const Autoscaler scaler{cfg_.autoscaler};
   HealthMonitor monitor{cfg_.health, pool};
   HedgePlanner hedge{cfg_.hedge};
@@ -1450,10 +1536,10 @@ class FleetRun {
   long long max_steps = 0;
   long long steps_begun = 0;
 
-  /// Every timer and edge but step ends.
+  /// Every timer and edge; step ends are the replicas' own state.
   Calendar cal;
-  /// Step ends: at most one live entry per replica.
-  Calendar step_ends;
+  /// Replicas whose step ends at the earliest step end (advance_clock).
+  std::vector<int> ending_;
   std::vector<std::vector<int>> due_ =
       std::vector<std::vector<int>>(static_cast<std::size_t>(K::kCount));
   /// Kinds with targets in due_ this pass.

@@ -11,34 +11,42 @@
 // deterministic for a fixed seed.
 //
 // The next pass happens at the earliest of two clocks (fleet/calendar.h).
-// The event calendar holds timers and edges whose state lives elsewhere,
-// in two heaps: replicas' step ends in one, at most one live entry per
-// replica, and everything else in the other. Schedule edges are compiled
-// into the second when a run starts, and heartbeats, breaker deadlines,
-// view syncs, hedge triggers, client patience and autoscaler ticks are
-// pushed as they are set. The waiting queues hold parked work
-// (overlap-drain handoffs, KV migrations, retries, router fail-overs) and
-// the next arrival, in (time, request id) order. Within a pass the
-// calendar's handlers run in EventKind order up to step ends, then the
-// waiting queues are served (handoffs, migrations, arrivals, retries,
-// fail-overs), then hedges, client patience and the autoscaler; a handler
-// runs only when its kind or its queue's head is due. The timed handlers
-// visit only the targets their due entries name, in target order: client
-// patience that expires for several requests at one instant is served by
-// request id. Partition cut and heal edges are entries too, so the heal
-// handler runs only on a pass where one is due. Most passes have only step
-// ends due (96% on a light 16-replica load): such a pass pops the step-end
-// heap alone and runs the step-end handler plus the two that act on every
-// pass, view refresh and heal settling. Anything else due at a step end's
-// very instant makes the pass a full one, so an arrival at that instant
-// joins the step that begins there. Stale entries are dropped without a
-// pass. What still depends on the pass sequence: partitioned runs refresh
-// router views on every pass and the view-disagreement clock sums
-// per-pass slices, so an extra or a missing pass (even one that only
+// The event calendar holds timers and edges whose state lives elsewhere:
+// schedule edges are compiled into it when a run starts, and heartbeats,
+// breaker deadlines, view syncs, hedge triggers, client patience and
+// autoscaler ticks are pushed as they are set. The waiting queues hold
+// parked work (overlap-drain handoffs, KV migrations, retries, router
+// fail-overs) and the next arrival, in (time, request id) order. Together
+// they are the fleet events. Step ends are neither: each is its replica's
+// own state, and the loop reads the earliest one off the replicas. Within
+// a pass the calendar's handlers run in EventKind order up to step ends,
+// then the waiting queues are served (handoffs, migrations, arrivals,
+// retries, fail-overs), then hedges, client patience and the autoscaler; a
+// handler runs only when its kind or its queue's head is due. The timed
+// handlers visit only the targets their due entries name, in target order:
+// client patience that expires for several requests at one instant is
+// served by request id. Partition cut and heal edges are entries too, so
+// the heal handler runs only on a pass where one is due. Stale entries are
+// dropped without a pass.
+//
+// A step end reaches past its own replica in three ways only: it cancels
+// another copy (hedging or partitions), it orphans a reply or arms client
+// patience (partitions), or a view refreshed and a disagreement slice
+// summed on every pass see it (partitions or stale views). A run with none
+// of the three is independent: before each pass, each replica in turn runs
+// its own steps up to the next fleet event, so the loop makes one pass per
+// fleet event. A step end tied with that event waits for the event's pass,
+// so an arrival at a step end's very instant joins the step that begins
+// there. Every other run gives each step end a pass of its own: a pass with
+// only step ends due runs the step-end handler plus the two that act on
+// every pass, view refresh and heal settling, and anything else due at
+// that very instant makes the pass a full one. Only hedged, partitioned
+// and stale-view runs therefore depend on the pass sequence: partitioned
+// runs refresh router views on every pass and the view-disagreement clock
+// sums per-pass slices, so an extra or a missing pass (even one that only
 // delivers a heartbeat, or one that advances time by zero) changes a
-// partitioned report. perfbench's fleet_chaos canonical digest pins
-// both, so a modelled view-refresh cadence waits for a change to that
-// benchmark.
+// partitioned report. perfbench's fleet_chaos canonical digest pins both,
+// so a modelled view-refresh cadence waits for a change to that benchmark.
 //
 // Partial-failure resilience: replicas can also be *slow* instead
 // of dead (DegradationWindow, priced on derated hardware), the front-end

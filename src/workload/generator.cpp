@@ -9,33 +9,53 @@
 namespace mib::workload {
 
 namespace {
-int sample_length(const LengthDistribution& d, Rng& rng) {
-  MIB_ENSURE(d.min_tokens >= 1, "min_tokens must be >= 1");
-  MIB_ENSURE(d.max_tokens >= d.min_tokens, "empty length range");
-  if (d.min_tokens == d.max_tokens) return d.min_tokens;
-  // Power-of-two bins between min and max; Zipf over bins biases toward
-  // short requests the way production traces do.
-  std::vector<std::pair<int, int>> bins;
-  for (int lo = d.min_tokens; lo <= d.max_tokens; lo *= 2) {
-    bins.push_back({lo, std::min(d.max_tokens, lo * 2 - 1)});
-    if (lo > d.max_tokens / 2) break;
+/// Request lengths drawn from one LengthDistribution: power-of-two bins
+/// between min and max, and a Zipf over the bins that biases toward short
+/// requests the way production traces do. Built once per distribution.
+class LengthSampler {
+ public:
+  explicit LengthSampler(const LengthDistribution& d)
+      : bins_(bins_of(d)),
+        fixed_(d.min_tokens == d.max_tokens),
+        // A fixed length draws nothing, so its skew is never read.
+        zipf_(bins_.size(), fixed_ ? 0.0 : d.skew) {}
+
+  int sample(Rng& rng) const {
+    if (fixed_) return bins_[0].first;
+    const auto [lo, hi] = bins_[zipf_.sample(rng)];
+    return lo + static_cast<int>(rng.uniform_index(
+                    static_cast<std::uint64_t>(hi - lo + 1)));
   }
-  const ZipfSampler zipf(bins.size(), d.skew);
-  const auto [lo, hi] = bins[zipf.sample(rng)];
-  return lo + static_cast<int>(rng.uniform_index(
-                  static_cast<std::uint64_t>(hi - lo + 1)));
-}
+
+ private:
+  static std::vector<std::pair<int, int>> bins_of(const LengthDistribution& d) {
+    MIB_ENSURE(d.min_tokens >= 1, "min_tokens must be >= 1");
+    MIB_ENSURE(d.max_tokens >= d.min_tokens, "empty length range");
+    std::vector<std::pair<int, int>> bins;
+    for (int lo = d.min_tokens; lo <= d.max_tokens; lo *= 2) {
+      bins.push_back({lo, std::min(d.max_tokens, lo * 2 - 1)});
+      if (lo > d.max_tokens / 2) break;
+    }
+    return bins;
+  }
+
+  std::vector<std::pair<int, int>> bins_;
+  bool fixed_;
+  ZipfSampler zipf_;
+};
 }  // namespace
 
 std::vector<engine::Request> generate_trace(const TraceConfig& cfg) {
   MIB_ENSURE(cfg.n_requests >= 1, "trace needs at least one request");
+  const LengthSampler input(cfg.input);
+  const LengthSampler output(cfg.output);
   Rng rng(cfg.seed);
   std::vector<engine::Request> out;
   out.reserve(cfg.n_requests);
   for (int i = 0; i < cfg.n_requests; ++i) {
     engine::Request r;
-    r.input_tokens = sample_length(cfg.input, rng);
-    r.output_tokens = sample_length(cfg.output, rng);
+    r.input_tokens = input.sample(rng);
+    r.output_tokens = output.sample(rng);
     r.n_images = cfg.images_per_request;
     r.validate();
     out.push_back(r);
@@ -47,6 +67,8 @@ std::vector<Turn> generate_conversations(const ConversationConfig& cfg) {
   MIB_ENSURE(cfg.n_conversations >= 1, "need at least one conversation");
   MIB_ENSURE(cfg.turns_per_conversation >= 1, "need at least one turn");
   MIB_ENSURE(cfg.system_prompt_tokens >= 1, "system prompt must be non-empty");
+  const LengthSampler user_turn(cfg.user_turn);
+  const LengthSampler reply_len(cfg.reply);
   Rng rng(cfg.seed);
   std::vector<Turn> out;
   out.reserve(static_cast<std::size_t>(cfg.n_conversations) *
@@ -54,8 +76,8 @@ std::vector<Turn> generate_conversations(const ConversationConfig& cfg) {
   for (int conv = 0; conv < cfg.n_conversations; ++conv) {
     int history = cfg.system_prompt_tokens;
     for (int turn = 0; turn < cfg.turns_per_conversation; ++turn) {
-      const int user = sample_length(cfg.user_turn, rng);
-      const int reply = sample_length(cfg.reply, rng);
+      const int user = user_turn.sample(rng);
+      const int reply = reply_len.sample(rng);
       Turn t;
       t.conversation = conv;
       t.turn = turn;

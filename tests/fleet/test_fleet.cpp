@@ -7,6 +7,7 @@
 
 #include "hw/cluster.h"
 #include "models/zoo.h"
+#include "report_digest.h"
 #include "workload/arrivals.h"
 
 namespace mib::fleet {
@@ -187,6 +188,130 @@ TEST(Fleet, ArrivalAtAStepEndJoinsTheStepThatBegins) {
       b_first_token(std::nextafter(t1, std::numeric_limits<double>::infinity()));
   EXPECT_EQ(at, before);
   EXPECT_GT(after, at);
+}
+
+TEST(Fleet, IndependentRunsMatchPerPassRuns) {
+  // Without hedging, partitions or stale views no step end reaches past its
+  // replica, and each replica steps on its own between fleet events. Either
+  // feature, configured so that it never acts, makes the run give every
+  // step end a pass of its own instead: a fixed-delay hedge that would fire
+  // long after the run ends, or a partition window that opens after it.
+  // Both paths must give bit-identical reports.
+  constexpr double kNever = 1e6;
+  auto trace = [](int n, double qps, int in_tok, int out_tok) {
+    auto t = as_fleet_trace(engine::make_uniform_batch(n, in_tok, out_tok));
+    workload::ArrivalConfig ac;
+    ac.rate_qps = qps;
+    ac.seed = 21;
+    stamp_arrivals(ac, t);
+    return t;
+  };
+  struct Case {
+    const char* name;
+    FleetConfig cfg;
+    std::vector<FleetRequest> trace;
+    /// Whether the run met what the case is there to cover.
+    bool (*covered)(const FleetReport&);
+  };
+  std::vector<Case> cases;
+  {
+    // Crashes seen through heartbeats and breakers, and a router fault.
+    auto fc = base_cfg(3);
+    fc.faults = {FaultWindow{1, 0.3, 0.6}, FaultWindow{0, 0.9, 1.0}};
+    fc.control.router_faults = {RouterFaultWindow{1, 0.4, 0.7}};
+    fc.retry.max_retries = 12;
+    cases.push_back({"faults+breaker", fc, trace(150, 100.0, 256, 64),
+                     [](const FleetReport& r) {
+                       return r.circuit_opens > 0 && r.router_stranded > 0;
+                     }});
+  }
+  {
+    // Overlap drains: the source decodes on while its KV copies out.
+    auto fc = base_cfg(3);
+    fc.maintenance = {MaintenanceWindow{0, 0.5, 1.5},
+                      MaintenanceWindow{1, 1.6, 1.9}};
+    fc.migration.overlap_decode = true;
+    fc.migration.stripe_links = 2;
+    fc.migration.per_sequence_overhead_s = 0.004;
+    cases.push_back({"overlap-drain", fc, trace(160, 110.0, 512, 128),
+                     [](const FleetReport& r) {
+                       return r.overlap_decode_tokens > 0;
+                     }});
+  }
+  {
+    // A burst, a lull that shrinks the pool, then a second burst.
+    auto fc = base_cfg(1);
+    fc.replica.max_batch = 4;
+    fc.autoscaler.enabled = true;
+    fc.autoscaler.max_replicas = 4;
+    fc.autoscaler.interval_s = 0.1;
+    fc.autoscaler.scale_up_queue_depth = 4;
+    fc.faults = {FaultWindow{1, 0.9, 1.2}};
+    fc.retry.max_retries = 12;
+    auto t = trace(160, 140.0, 256, 64);
+    for (std::size_t i = 80; i < t.size(); ++i) t[i].request.arrival_s += 1.5;
+    cases.push_back({"autoscaler", fc, t, [](const FleetReport& r) {
+                       return r.replicas_used > 1 && r.scale_events.size() > 1;
+                     }});
+  }
+  {
+    // Brownouts and post-recovery warm-up ramps reprice replicas mid-run.
+    auto fc = base_cfg(3);
+    fc.degradations = {DegradationWindow{0, 0.2, 0.9, PerfScale{0.4, 0.6, 1.0}},
+                       DegradationWindow{2, 0.5, 1.1, PerfScale{1.0, 0.3, 0.5}}};
+    fc.faults = {FaultWindow{1, 0.3, 0.5}};
+    fc.maintenance = {MaintenanceWindow{2, 1.2, 1.4}};
+    fc.warmup.enabled = true;
+    fc.warmup.duration_s = 0.3;
+    fc.retry.max_retries = 12;
+    cases.push_back({"brownout+warmup", fc, trace(150, 110.0, 256, 64),
+                     [](const FleetReport& r) {
+                       return r.warmup_recoveries > 0 && r.migrations > 0;
+                     }});
+  }
+  {
+    // Overload with admission deadlines under the oracle: work is shed at
+    // the queue bound and expires while queued.
+    auto fc = base_cfg(2);
+    fc.health.enabled = false;
+    fc.admission.queue_capacity = 16;
+    fc.admission.deadline_s = 0.3;
+    fc.faults = {FaultWindow{0, 0.4, 0.6}};
+    fc.retry.max_retries = 12;
+    cases.push_back({"deadlines+oracle", fc, trace(200, 300.0, 512, 64),
+                     [](const FleetReport& r) {
+                       return r.rejected > 0 && r.expired > 0 && r.retries > 0;
+                     }});
+  }
+  for (auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    // Two routers with live views, so that a partition can name a
+    // minority router and nothing else differs between the runs.
+    c.cfg.control.routers = 2;
+    const FleetReport windowed = FleetSimulator(c.cfg).run(c.trace);
+    ASSERT_LT(windowed.makespan_s, kNever);
+    ASSERT_GT(windowed.completed, 0);
+    EXPECT_TRUE(c.covered(windowed));
+
+    FleetConfig hedged = c.cfg;
+    hedged.hedge.enabled = true;
+    hedged.hedge.delay_s = kNever;
+    const FleetReport per_pass_hedged = FleetSimulator(hedged).run(c.trace);
+    EXPECT_EQ(per_pass_hedged.hedges_issued, 0);
+    EXPECT_EQ(digest(per_pass_hedged), digest(windowed));
+
+    FleetConfig cut = c.cfg;
+    cut.control.partition.enabled = true;
+    PartitionWindow late;
+    late.start_s = kNever;
+    late.end_s = kNever + 1.0;
+    late.minority_routers = {1};
+    late.minority_replicas = {0};
+    cut.control.partition.windows = {late};
+    const FleetReport per_pass_cut = FleetSimulator(cut).run(c.trace);
+    EXPECT_EQ(per_pass_cut.partition_flaps, 0);
+    EXPECT_EQ(digest(per_pass_cut), digest(windowed));
+  }
 }
 
 TEST(Fleet, ConfigValidation) {
