@@ -16,10 +16,7 @@
 // kinds in the order the loop's handlers run within one pass, so entries
 // due at the same time reach their handlers in handler order, then target
 // order; `kStepEnd` marks where the step ends due, read off the replicas,
-// take their turn. When the earliest step end comes strictly before
-// everything else, the pass leaves the calendar alone and runs only the
-// step-end handler and the two that act on every pass; a tie makes a full
-// pass.
+// take their turn.
 //
 // Owners never search the heap to move or cancel an entry: they push a new
 // one and leave the old one behind. The loop asks its `live` predicate

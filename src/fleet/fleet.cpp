@@ -174,9 +174,8 @@ struct Pending {
 /// calendar's handlers run in EventKind order, and the waiting queues are
 /// served between step ends and hedge triggers; the timed handlers visit
 /// only the replicas their due entries name. An independent run steps its
-/// replicas on their own between passes (step_window); in any other run a
-/// pass with only step ends due runs the step-end handler and the two that
-/// act on every pass, and nothing else.
+/// replicas on their own between passes (step_window); any other run makes
+/// a pass at every step end.
 class FleetRun {
   using K = EventKind;
 
@@ -274,14 +273,8 @@ class FleetRun {
       kick_idle();
       if (independent && !first_pass) step_window();
       if (ledger.resolved_total() >= n) break;
-      if (advance_clock()) {
-        // Only step ends are due: every other handler would find nothing
-        // to do. View refresh and heal settling act on every pass.
-        sync_views();
-        on_step_ends();
-      } else {
-        full_pass();
-      }
+      advance_clock();
+      full_pass();
       settle_heals();
       MIB_ENSURE(steps_begun <= max_steps,
                  "fleet exceeded its step bound (livelock?)");
@@ -338,24 +331,8 @@ class FleetRun {
   void kick_idle() {
     std::sort(kick_.begin(), kick_.end());
     kick_.erase(std::unique(kick_.begin(), kick_.end()), kick_.end());
-    for (int i : kick_) {
-      kick(i);
-      end_overlap_drain(i);
-    }
+    for (int i : kick_) kick(i);
     kick_.clear();
-  }
-
-  // An overlap drain completes when the last sequence has cut over: the
-  // source is empty, no snapshot copies are pending, and the node can
-  // finally go down for its maintenance. Only a touched replica can have
-  // got there since the last pass.
-  void end_overlap_drain(int i) {
-    Replica& r = reps[i];
-    if (overlap_drain[i] && !r.mid_step() && !r.has_work() &&
-        !handoffs.any([i](const Pending& h) { return h.src == i; })) {
-      overlap_drain[i] = false;
-      r.take_all();  // empty already: leaves the node cold
-    }
   }
 
   void kick(int i) {
@@ -397,7 +374,6 @@ class FleetRun {
         last = std::max(last, now);
         end_step(i);
         kick(i);
-        end_overlap_drain(i);
         MIB_ENSURE(steps_begun <= max_steps,
                    "fleet exceeded its step bound (livelock?)");
       }
@@ -440,8 +416,8 @@ class FleetRun {
   }
 
   // --- 2. next pass: the earliest step end, calendar entry, arrival or
-  // waiting-queue entry. Returns true when only step ends are due ---
-  bool advance_clock() {
+  // waiting-queue entry ---
+  void advance_clock() {
     // One scan of the replicas finds the earliest step end and the
     // replicas it falls on, in index order.
     double t_step = kInf;
@@ -460,8 +436,7 @@ class FleetRun {
     MIB_ENSURE(std::isfinite(t_step) || !stalled(),
                "fleet stalled: " << n - ledger.resolved_total()
                                  << " requests unresolved with no copy left");
-    const double t_other = next_fleet_event();
-    const double t_next = std::min(t_step, t_other);
+    const double t_next = std::min(t_step, next_fleet_event());
     MIB_ENSURE(std::isfinite(t_next), "fleet event loop stalled");
     MIB_ENSURE(t_next >= now - 1e-12, "fleet simulation time went backwards");
     prev_pass = now;
@@ -472,13 +447,7 @@ class FleetRun {
 
     for (K k : filled_) due(k).clear();
     filled_.clear();
-    // Only step ends are due when everything else comes strictly later. A
-    // tie makes a full pass, so an arrival at a step end's very instant
-    // joins the step that begins there.
-    const bool step_ends_only = !first_pass && t_step < t_other;
-    if (!step_ends_only) {
-      cal.pop_due(now, [this](const Event& e) { mark_due(e.kind, e.target); });
-    }
+    cal.pop_due(now, [this](const Event& e) { mark_due(e.kind, e.target); });
     for (int i = 0; first_pass && i < pool; ++i) {
       // Before the first pass every replica is up, in service and at full
       // speed; the first pass diffs each one against that.
@@ -496,11 +465,10 @@ class FleetRun {
       filled_.push_back(K::kStepEnd);
       due(K::kStepEnd).swap(ending_);
     }
-    return step_ends_only;
   }
 
-  // --- 3. a pass with more than step ends due: each handler runs when its
-  // kind or its waiting queue's head is due, in handler order ---
+  // --- 3. the pass: each handler runs when its kind or its waiting queue's
+  // head is due, in handler order ---
   void full_pass() {
     if (is_due(K::kHeartbeat)) on_heartbeats();
     if (is_due(K::kScaleEdge)) on_scale_edges();
@@ -1505,6 +1473,9 @@ class FleetRun {
   WaitQueue<Pending> migrations;
   /// Overlap-drain snapshot copies in flight.
   WaitQueue<Pending> handoffs;
+  /// Replicas in maintenance that keep decoding their running batch while
+  /// its KV copies out: set at the maintenance start edge, cleared at the
+  /// end edge. Once the batch has cut over, the replica has nothing to step.
   std::vector<bool> overlap_drain = flags();
   /// Requests waiting out the client fail-over lag at a dead home router.
   WaitQueue<Pending> router_pending;

@@ -37,11 +37,11 @@
 // its own steps up to the next fleet event, so the loop makes one pass per
 // fleet event. A step end tied with that event waits for the event's pass,
 // so an arrival at a step end's very instant joins the step that begins
-// there. Every other run gives each step end a pass of its own: a pass with
-// only step ends due runs the step-end handler plus the two that act on
-// every pass, view refresh and heal settling, and anything else due at
-// that very instant makes the pass a full one. Only hedged, partitioned
-// and stale-view runs therefore depend on the pass sequence: partitioned
+// there. Every other run gives each step end a pass of its own; on a pass
+// with only step ends due the other handlers find nothing due and are
+// skipped, so it runs the step-end handler plus the two that act on every
+// pass, view refresh and heal settling. Only hedged, partitioned and
+// stale-view runs therefore depend on the pass sequence: partitioned
 // runs refresh router views on every pass and the view-disagreement clock
 // sums per-pass slices, so an extra or a missing pass (even one that only
 // delivers a heartbeat, or one that advances time by zero) changes a
