@@ -1,29 +1,32 @@
-// The two clocks of the fleet loop. The next pass of FleetSimulator::run
+// The clocks of the fleet loop. The next pass of FleetSimulator::run
 // happens at the earliest of:
 //   * the event calendar: a min-heap of (time, kind, target) entries for
-//     timers and schedule edges whose state lives elsewhere (a breaker
-//     deadline, a heartbeat, a view sync, a hedge trigger, client patience,
-//     an autoscaler tick, a schedule edge);
+//     schedule edges and for timers whose state lives elsewhere (a view
+//     sync, a hedge trigger, client patience, an autoscaler tick);
 //   * the waiting queues: work parked until a wake time (retries, KV
 //     migrations, overlap-drain handoffs, router fail-overs), one
 //     WaitQueue each, and the next trace arrival, held in arrival order;
-// or at the earliest step end, which is on neither clock: each is its
-// replica's own state. An independent run (see fleet/fleet.h) advances its
-// replicas' step ends in windows up to the earlier of the two clocks;
-// every other run gives each step end a pass of its own.
+//   * the per-replica timers: each replica's step end, next heartbeat and
+//     breaker deadline are its own state, and one scan of the pool per
+//     pass finds the earliest of each and the replicas it falls on
+//     (TimerScan).
+// An independent run (see fleet/fleet.h) advances its replicas' step ends
+// in windows up to the earliest of everything else; every other run gives
+// each step end a pass of its own.
 //
 // Calendar entries pop in (time, kind, target) order. `EventKind` lists the
 // kinds in the order the loop's handlers run within one pass, so entries
 // due at the same time reach their handlers in handler order, then target
-// order; `kStepEnd` marks where the step ends due, read off the replicas,
-// take their turn.
+// order; the per-replica kinds (heartbeats, breaker deadlines, step ends)
+// take their turn at their place in that order, in replica order.
 //
-// Owners never search the heap to move or cancel an entry: they push a new
-// one and leave the old one behind. The loop asks its `live` predicate
-// about the entry on top before it makes a pass, and an entry whose owner
-// has since moved or cancelled it is dropped there, so it never produces a
-// pass of its own. A waiting queue holds its entries themselves, so an
-// entry removed from it is simply gone.
+// Nothing in the calendar or a waiting queue goes stale. A calendar entry
+// is pushed only for a time that its owner never moves or cancels (a hedge
+// trigger whose request has resolved still fires, and finds nothing to
+// do), and an entry removed from a waiting queue is simply gone. A timer
+// that can move or be cancelled (a breaker deadline that a heartbeat
+// pushes back, the heartbeat of a suspended replica) is a per-replica
+// timer, overwritten in place.
 #pragma once
 
 #include <algorithm>
@@ -37,17 +40,22 @@
 
 namespace mib::fleet {
 
+/// The time of an unarmed timer or an empty queue.
+inline constexpr double kInf = std::numeric_limits<double>::infinity();
+
 /// What an entry wakes, in handler order (see FleetSimulator::run).
 enum class EventKind : unsigned char {
-  kHeartbeat,        ///< target replica emits a heartbeat
+  kHeartbeat,        ///< target replica emits a heartbeat (a per-replica
+                     ///< timer, not a calendar entry)
   kScaleEdge,        ///< brownout or warm-up edge: reprice target replica
   kMaintenanceEdge,  ///< maintenance edge: drain or return target replica
   kFaultEdge,        ///< fault edge: crash or restart of target replica
-  kBreaker,          ///< target replica's breaker deadline
+  kBreaker,          ///< target replica's breaker deadline (a
+                     ///< per-replica timer, not a calendar entry)
   kViewSync,         ///< target router's view-sync deadline
   kPlaneEdge,        ///< router fault, partition or quorum-fence edge
-  kStepEnd,          ///< target replica's engine step ends (a due kind
-                     ///< only: step ends are not calendar entries)
+  kStepEnd,          ///< target replica's engine step ends (a
+                     ///< per-replica timer, not a calendar entry)
   kHedge,            ///< hedge trigger of request target
   kClientRetry,      ///< client patience of request target expires
   kAutoscale,        ///< autoscaler tick
@@ -72,14 +80,8 @@ class Calendar {
     std::push_heap(heap_.begin(), heap_.end(), std::greater<Event>{});
   }
 
-  /// Time of the earliest entry `live` accepts, or +infinity. Entries it
-  /// rejects are dropped on the way.
-  template <typename Live>
-  double next(Live&& live) {
-    while (!heap_.empty() && !live(heap_.front())) pop();
-    return heap_.empty() ? std::numeric_limits<double>::infinity()
-                         : heap_.front().time;
-  }
+  /// Time of the earliest entry, or +infinity.
+  double next() const { return heap_.empty() ? kInf : heap_.front().time; }
 
   /// Hand every entry due at or before t to `f`, in (time, kind, target)
   /// order, and remove it.
@@ -88,30 +90,16 @@ class Calendar {
     while (!heap_.empty() && heap_.front().time <= t) f(pop());
   }
 
-  /// Remove every entry of `kind` for `target` (rare: a suspended
-  /// replica's heartbeat).
-  void cancel(EventKind kind, int target) {
-    heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
-                               [&](const Event& e) {
-                                 return e.kind == kind && e.target == target;
-                               }),
-                heap_.end());
-    std::make_heap(heap_.begin(), heap_.end(), std::greater<Event>{});
-  }
-
   /// Earliest time among the entries `pred` accepts, or +infinity. Scans
   /// the whole heap; for the rare question "when can anything change".
   template <typename Pred>
   double earliest(Pred&& pred) const {
-    double best = std::numeric_limits<double>::infinity();
+    double best = kInf;
     for (const Event& e : heap_) {
       if (e.time < best && pred(e)) best = e.time;
     }
     return best;
   }
-
-  bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
 
  private:
   Event pop() {
@@ -122,6 +110,30 @@ class Calendar {
   }
 
   std::vector<Event> heap_;
+};
+
+/// One kind of per-replica timer over the pool: the earliest time any
+/// replica has armed and the replicas it falls on, in index order. Offer
+/// each replica once per scan, in index order; +infinity is a timer that
+/// is not armed.
+struct TimerScan {
+  explicit TimerScan(EventKind k) : kind(k) {}
+
+  const EventKind kind;
+  double time = kInf;
+  std::vector<int> replicas;
+
+  void clear() {
+    time = kInf;
+    replicas.clear();
+  }
+
+  void offer(int replica, double t) {
+    if (t > time || t == kInf) return;
+    if (t < time) replicas.clear();
+    time = t;
+    replicas.push_back(replica);
+  }
 };
 
 /// Work of type T parked until a wake time, in (wake time, request id)
@@ -135,8 +147,7 @@ class WaitQueue {
 
   /// Wake time of the first entry, or +infinity.
   double next() const {
-    return entries_.empty() ? std::numeric_limits<double>::infinity()
-                            : entries_.begin()->first.first;
+    return entries_.empty() ? kInf : entries_.begin()->first.first;
   }
 
   /// Remove and return every entry due at or before t, in queue order.

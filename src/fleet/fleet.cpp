@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -15,8 +14,6 @@
 namespace mib::fleet {
 
 namespace {
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
 /// Stateless hash combine for the retry-jitter key.
 std::uint64_t mix(std::uint64_t a, std::uint64_t b) {
   std::uint64_t state = a ^ (b + 0x9E3779B97F4A7C15ull + (a << 6) + (a >> 2));
@@ -169,11 +166,12 @@ struct Pending {
 };
 
 /// One FleetSimulator::run: the fleet's state, the event calendar, the
-/// waiting queues and the replicas' step ends that decide when the next
-/// pass happens, and one handler per subsystem. Within a pass the
-/// calendar's handlers run in EventKind order, and the waiting queues are
-/// served between step ends and hedge triggers; the timed handlers visit
-/// only the replicas their due entries name. An independent run steps its
+/// waiting queues and the per-replica timers (step ends, heartbeats,
+/// breaker deadlines) that decide when the next pass happens, and one
+/// handler per subsystem. Within a pass the handlers of the calendar's
+/// kinds and of the timers run in EventKind order, and the waiting queues
+/// are served between step ends and hedge triggers; the timed handlers
+/// visit only the targets that are due. An independent run steps its
 /// replicas on their own between passes (step_window); any other run makes
 /// a pass at every step end.
 class FleetRun {
@@ -275,6 +273,13 @@ class FleetRun {
       if (ledger.resolved_total() >= n) break;
       advance_clock();
       full_pass();
+      ++rep.passes;
+      // advance_clock picks a time at which something is due, and every
+      // handler takes all that is due at `now`: a pass that fills no due
+      // list and leaves an arrival or a waiting-queue entry due would
+      // repeat at this instant forever.
+      MIB_ENSURE(!filled_.empty() || next_waiting() > now,
+                 "fleet livelock: the pass at t=" << now << " left work due");
       settle_heals();
       MIB_ENSURE(steps_begun <= max_steps,
                  "fleet exceeded its step bound (livelock?)");
@@ -285,11 +290,7 @@ class FleetRun {
   }
 
  private:
-  // --- calendar and waiting queues ---
-
-  bool live(const Event& e) const {
-    return e.kind != K::kBreaker || monitor.deadline(e.target) == e.time;
-  }
+  // --- calendar, waiting queues and per-replica timers ---
 
   /// Due targets of one kind in this pass.
   std::vector<int>& due(K kind) { return due_[static_cast<std::size_t>(kind)]; }
@@ -310,20 +311,18 @@ class FleetRun {
     queue.park(wake, id, Pending{std::move(seq), src, since});
   }
 
-  void arm_breaker(int i) {
-    const double t = monitor.deadline(i);
-    if (std::isfinite(t)) cal.push(t, K::kBreaker, i);
-  }
+  void arm_breaker(int i) { breaker_at[i] = monitor.deadline(i); }
 
   // A suspended replica emits no heartbeats and has no breaker deadline.
   void suspend(int i) {
     monitor.suspend(i);
-    cal.cancel(K::kHeartbeat, i);
+    next_hb[i] = kInf;
+    breaker_at[i] = kInf;
   }
 
   void resume(int i) {
     monitor.resume(i, now);
-    cal.push(now + hb_period(i, now), K::kHeartbeat, i);
+    next_hb[i] = now + hb_period(i, now);
     arm_breaker(i);
   }
 
@@ -382,16 +381,19 @@ class FleetRun {
     now = last;
   }
 
-  /// The earliest live calendar entry, arrival or waiting-queue entry:
-  /// everything that wakes the loop except a step end.
-  double next_fleet_event() {
-    double t = cal.next([this](const Event& e) { return live(e); });
-    if (next_arrival < n) {
-      t = std::min(t, blank[intake[next_arrival]].arrival_s);
-    }
+  /// The next arrival or waiting-queue entry.
+  double next_waiting() const {
+    double t = next_arrival < n ? blank[intake[next_arrival]].arrival_s : kInf;
     for (const auto* q : {&handoffs, &migrations, &retries, &router_pending}) {
       t = std::min(t, q->next());
     }
+    return t;
+  }
+
+  /// Everything that wakes the loop except a step end.
+  double next_fleet_event() const {
+    double t = std::min(cal.next(), next_waiting());
+    for (int i = 0; i < pool; ++i) t = std::min({t, next_hb[i], breaker_at[i]});
     return t;
   }
 
@@ -400,12 +402,9 @@ class FleetRun {
   /// hedge trigger or client patience is pending. The caller has found no
   /// replica mid-step.
   bool stalled() const {
-    if (next_arrival < n) return false;
+    if (std::isfinite(next_waiting())) return false;
     for (const auto& r : reps) {
       if (r.has_work()) return false;
-    }
-    for (const auto* q : {&handoffs, &migrations, &retries, &router_pending}) {
-      if (!q->empty()) return false;
     }
     for (const auto& list : stranded) {
       if (!list.empty()) return false;
@@ -415,28 +414,25 @@ class FleetRun {
     }));
   }
 
-  // --- 2. next pass: the earliest step end, calendar entry, arrival or
-  // waiting-queue entry ---
+  // --- 2. next pass: the earliest per-replica timer, calendar entry,
+  // arrival or waiting-queue entry ---
   void advance_clock() {
-    // One scan of the replicas finds the earliest step end and the
-    // replicas it falls on, in index order.
-    double t_step = kInf;
-    ending_.clear();
+    // One scan of the replicas finds the earliest step end, heartbeat and
+    // breaker deadline, and the replicas each falls on.
+    for (TimerScan* s : {&step_ends_, &heartbeats_, &breakers_}) s->clear();
     for (int i = 0; i < pool; ++i) {
       const Replica& r = reps[i];
-      if (!r.mid_step() || r.step_end_s() > t_step) continue;
-      if (r.step_end_s() < t_step) {
-        t_step = r.step_end_s();
-        ending_.clear();
-      }
-      ending_.push_back(i);
+      if (r.mid_step()) step_ends_.offer(i, r.step_end_s());
+      heartbeats_.offer(i, next_hb[i]);
+      breakers_.offer(i, breaker_at[i]);
     }
     // Heartbeats re-arm forever, so a run that lost its last copies would
     // otherwise pass on them without end.
-    MIB_ENSURE(std::isfinite(t_step) || !stalled(),
+    MIB_ENSURE(std::isfinite(step_ends_.time) || !stalled(),
                "fleet stalled: " << n - ledger.resolved_total()
                                  << " requests unresolved with no copy left");
-    const double t_next = std::min(t_step, next_fleet_event());
+    const double t_next = std::min({cal.next(), next_waiting(), step_ends_.time,
+                                    heartbeats_.time, breakers_.time});
     MIB_ENSURE(std::isfinite(t_next), "fleet event loop stalled");
     MIB_ENSURE(t_next >= now - 1e-12, "fleet simulation time went backwards");
     prev_pass = now;
@@ -460,10 +456,11 @@ class FleetRun {
       std::sort(d.begin(), d.end());
       d.erase(std::unique(d.begin(), d.end()), d.end());
     }
-    if (t_step <= now) {
-      // The scan found them in index order already.
-      filled_.push_back(K::kStepEnd);
-      due(K::kStepEnd).swap(ending_);
+    // The scan found the per-replica kinds in index order already.
+    for (TimerScan* s : {&heartbeats_, &breakers_, &step_ends_}) {
+      if (s->time > now) continue;
+      filled_.push_back(s->kind);
+      due(s->kind).swap(s->replicas);
     }
   }
 
@@ -506,7 +503,7 @@ class FleetRun {
         monitor.on_heartbeat(i, now);
         arm_breaker(i);
       }
-      cal.push(now + hb_period(i, now), K::kHeartbeat, i);
+      next_hb[i] = now + hb_period(i, now);
     }
   }
 
@@ -1154,13 +1151,11 @@ class FleetRun {
       // router recovery, a partition edge (a minority router with no
       // same-side replica parks exactly until the heal), or the next
       // autoscaler tick.
-      double wake = cal.earliest([this](const Event& e) {
-        return e.kind == K::kBreaker ? live(e)
-                                     : e.kind == K::kFaultEdge ||
-                                           e.kind == K::kMaintenanceEdge ||
-                                           e.kind == K::kViewSync ||
-                                           e.kind == K::kPlaneEdge;
-      });
+      double wake = *std::min_element(breaker_at.begin(), breaker_at.end());
+      wake = std::min(wake, cal.earliest([](const Event& e) {
+        return e.kind == K::kFaultEdge || e.kind == K::kMaintenanceEdge ||
+               e.kind == K::kViewSync || e.kind == K::kPlaneEdge;
+      }));
       if (cfg_.autoscaler.enabled) {
         wake = std::min(wake, next_tick > now
                                   ? next_tick
@@ -1507,10 +1502,16 @@ class FleetRun {
   long long max_steps = 0;
   long long steps_begun = 0;
 
-  /// Every timer and edge; step ends are the replicas' own state.
+  /// Edges and the timers that are never moved or cancelled.
   Calendar cal;
-  /// Replicas whose step ends at the earliest step end (advance_clock).
-  std::vector<int> ending_;
+  /// Per-replica timers besides the step ends: the next heartbeat, and the
+  /// breaker deadline (HealthMonitor::deadline, copied wherever it moves).
+  /// +infinity while the replica is suspended.
+  std::vector<double> next_hb = std::vector<double>(pool, kInf);
+  std::vector<double> breaker_at = next_hb;
+  /// The earliest of each per-replica timer (advance_clock).
+  TimerScan step_ends_{K::kStepEnd}, heartbeats_{K::kHeartbeat},
+      breakers_{K::kBreaker};
   std::vector<std::vector<int>> due_ =
       std::vector<std::vector<int>>(static_cast<std::size_t>(K::kCount));
   /// Kinds with targets in due_ this pass.

@@ -10,24 +10,28 @@
 // backoff), and the autoscaler reacts to queue depth. Everything is
 // deterministic for a fixed seed.
 //
-// The next pass happens at the earliest of two clocks (fleet/calendar.h).
-// The event calendar holds timers and edges whose state lives elsewhere:
-// schedule edges are compiled into it when a run starts, and heartbeats,
-// breaker deadlines, view syncs, hedge triggers, client patience and
-// autoscaler ticks are pushed as they are set. The waiting queues hold
-// parked work (overlap-drain handoffs, KV migrations, retries, router
-// fail-overs) and the next arrival, in (time, request id) order. Together
-// they are the fleet events. Step ends are neither: each is its replica's
-// own state, and the loop reads the earliest one off the replicas. Within
-// a pass the calendar's handlers run in EventKind order up to step ends,
-// then the waiting queues are served (handoffs, migrations, arrivals,
-// retries, fail-overs), then hedges, client patience and the autoscaler; a
-// handler runs only when its kind or its queue's head is due. The timed
-// handlers visit only the targets their due entries name, in target order:
-// client patience that expires for several requests at one instant is
-// served by request id. Partition cut and heal edges are entries too, so
-// the heal handler runs only on a pass where one is due. Stale entries are
-// dropped without a pass.
+// The next pass happens at the earliest of three clocks (fleet/calendar.h).
+// The event calendar holds schedule edges, compiled into it when a run
+// starts, and the timers that are never moved or cancelled once set: view
+// syncs, hedge triggers, client patience and autoscaler ticks. The waiting
+// queues hold parked work (overlap-drain handoffs, KV migrations, retries,
+// router fail-overs) and the next arrival, in (time, request id) order.
+// The per-replica timers are each replica's own state: its step end, its
+// next heartbeat and its breaker deadline, which a heartbeat pushes back
+// and a suspension disarms in place. One scan of the pool per pass reads
+// the earliest of each. Everything but the step ends is a fleet event.
+// Within a pass the handlers run in EventKind order up to step ends, then
+// the waiting queues are served (handoffs, migrations, arrivals, retries,
+// fail-overs), then hedges, client patience and the autoscaler; a handler
+// runs only when its kind or its queue's head is due. The timed handlers
+// visit only the targets their due entries name, in target order: client
+// patience that expires for several requests at one instant is served by
+// request id. Partition cut and heal edges are entries too, so the heal
+// handler runs only on a pass where one is due. Nothing the loop waits on
+// goes stale, so every pass has something due: a pass that finds only
+// parked work or an arrival due and leaves some of it untaken would
+// repeat forever, and fails the run as a livelock. FleetReport::passes
+// counts the passes.
 //
 // A step end reaches past its own replica in three ways only: it cancels
 // another copy (hedging or partitions), it orphans a reply or arms client
@@ -277,6 +281,9 @@ struct FleetReport {
 
   /// Replicas that executed at least one step (shows autoscaler growth).
   int replicas_used = 0;
+  /// Passes the event loop made. Not simulated output: the same report can
+  /// come from more or fewer passes, and the report digests leave it out.
+  long long passes = 0;
   std::vector<ReplicaReport> replicas;     ///< one per pool slot
   std::vector<ScaleEvent> scale_events;
   std::vector<RequestRecord> requests;     ///< per-request outcomes

@@ -1,7 +1,8 @@
-// The fleet loop's two clocks: the event calendar (pop order within one
-// instant, stale entries) and the waiting queues of parked work (take
-// order, erased entries), and the zero-advance pass an entry due at `now`
-// produces once its handler has run.
+// The fleet loop's clocks: the event calendar (pop order within one
+// instant), the waiting queues of parked work (take order, erased
+// entries), the per-replica timers (ties, moved and disarmed timers), and
+// the zero-advance pass an entry due at `now` produces once its handler
+// has run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,12 +10,8 @@
 #include <utility>
 #include <vector>
 
-#include "engine/replica.h"
 #include "fleet/calendar.h"
-#include "fleet/fleet.h"
 #include "fleet/health.h"
-#include "hw/cluster.h"
-#include "models/zoo.h"
 
 namespace mib::fleet {
 namespace {
@@ -27,53 +24,64 @@ std::vector<Event> drain_due(Calendar& cal, double t) {
   return out;
 }
 
-auto always_live = [](const Event&) { return true; };
-
 TEST(Calendar, EqualTimesPopInHandlerOrderThenTargetOrder) {
   Calendar cal;
-  cal.push(1.0, K::kStepEnd, 3);
-  cal.push(1.0, K::kHeartbeat, 2);
+  cal.push(1.0, K::kHedge, 3);
+  cal.push(1.0, K::kScaleEdge, 2);
   cal.push(0.5, K::kAutoscale);
-  cal.push(1.0, K::kStepEnd, 1);
+  cal.push(1.0, K::kHedge, 1);
   cal.push(1.0, K::kFaultEdge, 7);
-  cal.push(1.0, K::kHeartbeat, 0);
-  cal.push(2.0, K::kHeartbeat, 0);
+  cal.push(1.0, K::kScaleEdge, 0);
+  cal.push(2.0, K::kScaleEdge, 0);
 
-  EXPECT_EQ(cal.next(always_live), 0.5);
+  EXPECT_EQ(cal.next(), 0.5);
   ASSERT_EQ(drain_due(cal, 0.5).size(), 1u);
-  EXPECT_EQ(cal.next(always_live), 1.0);
+  EXPECT_EQ(cal.next(), 1.0);
   const auto due = drain_due(cal, 1.0);
   std::vector<std::pair<K, int>> order;
   for (const auto& e : due) order.emplace_back(e.kind, e.target);
   const std::vector<std::pair<K, int>> expected = {
-      {K::kHeartbeat, 0}, {K::kHeartbeat, 2}, {K::kFaultEdge, 7},
-      {K::kStepEnd, 1},   {K::kStepEnd, 3}};
+      {K::kScaleEdge, 0}, {K::kScaleEdge, 2}, {K::kFaultEdge, 7},
+      {K::kHedge, 1},     {K::kHedge, 3}};
   EXPECT_EQ(order, expected);
-  EXPECT_EQ(cal.next(always_live), 2.0);
+  EXPECT_EQ(cal.next(), 2.0);
 }
 
-TEST(Calendar, MovedBreakerDeadlineNeverWakes) {
+TEST(Calendar, ReplicaTimerScanTiesInIndexOrder) {
+  TimerScan scan{K::kHeartbeat};
+  // Replica 1's timer is not armed (say, a suspended replica's heartbeat).
+  const std::vector<double> at = {0.7, kInf, 0.4, 0.9, 0.4};
+  for (int i = 0; i < static_cast<int>(at.size()); ++i) scan.offer(i, at[i]);
+  EXPECT_EQ(scan.time, 0.4);
+  EXPECT_EQ(scan.replicas, (std::vector<int>{2, 4}));
+  scan.clear();
+  scan.offer(1, kInf);
+  EXPECT_TRUE(std::isinf(scan.time));
+  EXPECT_TRUE(scan.replicas.empty());
+}
+
+TEST(Calendar, MovedBreakerDeadlineWakesAtItsNewTime) {
   HealthConfig hc;
   HealthMonitor monitor(hc, 1);
-  Calendar cal;
-  auto live = [&](const Event& e) {
-    return monitor.deadline(e.target) == e.time;
+  // The loop copies the deadline wherever it moves, and scans the copy.
+  double breaker_at = 0.0;
+  auto scan = [&] {
+    TimerScan s{K::kBreaker};
+    s.offer(0, breaker_at);
+    return s.time;
   };
   monitor.resume(0, 0.0);
-  const double first = monitor.deadline(0);
-  cal.push(first, K::kBreaker, 0);
-  // A heartbeat moves the deadline later; the owner pushes the new one and
-  // leaves the old entry behind.
+  breaker_at = monitor.deadline(0);
+  const double first = scan();
+  // A heartbeat moves the deadline later, and the copy moves with it.
   monitor.on_heartbeat(0, hc.heartbeat_interval_s);
-  const double moved = monitor.deadline(0);
-  ASSERT_GT(moved, first);
-  cal.push(moved, K::kBreaker, 0);
-  EXPECT_EQ(cal.next(live), moved);  // the stale `first` made no pass
-  EXPECT_EQ(cal.size(), 1u);
+  breaker_at = monitor.deadline(0);
+  ASSERT_GT(breaker_at, first);
+  EXPECT_EQ(scan(), breaker_at);  // nothing is left at `first`
   // A suspended replica has no deadline at all.
   monitor.suspend(0);
-  EXPECT_TRUE(std::isinf(cal.next(live)));
-  EXPECT_TRUE(cal.empty());
+  breaker_at = monitor.deadline(0);
+  EXPECT_TRUE(std::isinf(scan()));
 }
 
 /// A parked item: its request id and the order it was parked in.
@@ -123,7 +131,7 @@ TEST(WaitQueue, ParkAtNowAfterItsHandlerYieldsOneZeroAdvancePass) {
   cal.push(2.0, K::kAutoscale);
   // The loop's next pass: the earliest of the calendar and the queue.
   auto next_pass = [&] {
-    return std::min(cal.next(always_live), retries.next());
+    return std::min(cal.next(), retries.next());
   };
   double now = next_pass();
   ASSERT_EQ(now, 1.0);
@@ -141,59 +149,31 @@ TEST(WaitQueue, ParkAtNowAfterItsHandlerYieldsOneZeroAdvancePass) {
   EXPECT_EQ(next_pass(), 2.0);
 }
 
-TEST(Calendar, StepEndOfACrashedReplicaNeverWakes) {
-  FleetConfig cfg;
-  cfg.engine.model = models::olmoe_1b_7b();
-  cfg.engine.cluster = hw::Cluster::h100_node(1);
-  const FleetSimulator sim(cfg);
-  const engine::LayerCostModel cost(cfg.engine.model, cfg.engine.cluster,
-                                    cfg.engine.plan, cfg.engine.cost);
-  engine::PriceBook book;
-  engine::Replica r(&cost, &book, sim.kv_token_capacity(), cfg.replica);
-  engine::Sequence s;
-  s.request_id = 0;
-  s.input_tokens = 128;
-  s.output_tokens = 8;
-  r.enqueue(s);
-  r.begin_step(0.0);
-  Calendar cal;
-  cal.push(r.step_end_s(), K::kStepEnd, 0);
-  cal.push(5.0, K::kAutoscale);
-  auto live = [&](const Event& e) {
-    return e.kind != K::kStepEnd || (r.mid_step() && r.step_end_s() == e.time);
-  };
-  ASSERT_EQ(cal.next(live), r.step_end_s());
-  r.evacuate();  // the replica crashed mid-step
-  EXPECT_EQ(cal.next(live), 5.0);
-}
-
 TEST(Calendar, PushAtNowForAnEarlierHandlerYieldsOneZeroAdvancePass) {
   Calendar cal;
   cal.push(1.0, K::kAutoscale);
   cal.push(2.0, K::kAutoscale);
-  double now = cal.next(always_live);
+  double now = cal.next();
   ASSERT_EQ(now, 1.0);
   ASSERT_EQ(drain_due(cal, now).size(), 1u);
   // An arrival of this pass arms a hedge trigger with zero delay; this
   // pass's due hedges were collected already, so the next pass comes at
   // the same instant.
   cal.push(now, K::kHedge, 4);
-  const double again = cal.next(always_live);
+  const double again = cal.next();
   EXPECT_EQ(again, now);
   const auto due = drain_due(cal, again);
   ASSERT_EQ(due.size(), 1u);
   EXPECT_EQ(due[0].kind, K::kHedge);
   // Exactly one: the pass after that advances again.
-  EXPECT_EQ(cal.next(always_live), 2.0);
+  EXPECT_EQ(cal.next(), 2.0);
 }
 
-TEST(Calendar, CancelAndEarliest) {
+TEST(Calendar, EarliestOfAKind) {
   Calendar cal;
-  cal.push(0.4, K::kHeartbeat, 1);
-  cal.push(0.6, K::kHeartbeat, 2);
+  cal.push(0.6, K::kViewSync, 2);
   cal.push(0.9, K::kFaultEdge, 1);
-  cal.cancel(K::kHeartbeat, 1);
-  EXPECT_EQ(cal.next(always_live), 0.6);
+  EXPECT_EQ(cal.next(), 0.6);
   EXPECT_EQ(cal.earliest([](const Event& e) {
     return e.kind == K::kFaultEdge;
   }), 0.9);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -190,6 +191,19 @@ TEST(Fleet, ArrivalAtAStepEndJoinsTheStepThatBegins) {
   EXPECT_GT(after, at);
 }
 
+/// Whether some circuit opened at an instant at which no request arrived.
+bool opens_between_arrivals(const FleetReport& r) {
+  return std::any_of(
+      r.circuit_events.begin(), r.circuit_events.end(),
+      [&](const CircuitEvent& e) {
+        return e.to == CircuitState::kOpen &&
+               std::none_of(r.requests.begin(), r.requests.end(),
+                            [&](const RequestRecord& q) {
+                              return q.arrival_s == e.t_s;
+                            });
+      });
+}
+
 TEST(Fleet, IndependentRunsMatchPerPassRuns) {
   // Without hedging, partitions or stale views no step end reaches past its
   // replica, and each replica steps on its own between fleet events. Either
@@ -281,6 +295,19 @@ TEST(Fleet, IndependentRunsMatchPerPassRuns) {
     cases.push_back({"deadlines+oracle", fc, trace(200, 300.0, 512, 64),
                      [](const FleetReport& r) {
                        return r.rejected > 0 && r.expired > 0 && r.retries > 0;
+                     }});
+  }
+  {
+    // A brownout stretches replica 1's heartbeats tenfold, past the phi
+    // threshold, so its breaker opens while it is up, at a deadline that
+    // falls between two arrivals.
+    auto fc = base_cfg(3);
+    fc.degradations = {
+        DegradationWindow{1, 0.4, 0.9, PerfScale{1.0, 0.1, 1.0}}};
+    cases.push_back({"brownout-false-open", fc, trace(60, 30.0, 256, 64),
+                     [](const FleetReport& r) {
+                       return r.false_circuit_opens > 0 &&
+                              opens_between_arrivals(r);
                      }});
   }
   for (auto& c : cases) {

@@ -451,5 +451,27 @@ TEST(FleetGolden, MatrixBitwiseIdentical) {
   }
 }
 
+// The number of loop passes is not simulated output, and no digest sees
+// it: an independent run gives the same report with an extra or a missing
+// heartbeat-only pass. These pin it exactly.
+TEST(FleetPasses, CountsArePinned) {
+  // An independent run with detection on: a pass per fleet event, and
+  // every heartbeat and breaker deadline is a fleet event.
+  const FleetReport plain =
+      FleetSimulator(base_cfg(3)).run(uniform_trace(150, 110.0));
+  EXPECT_EQ(plain.passes, 228);
+  // The faults+breaker case of Fleet.IndependentRunsMatchPerPassRuns.
+  FleetConfig fc = base_cfg(3);
+  fc.control.routers = 2;
+  fc.faults = {FaultWindow{1, 0.3, 0.6}, FaultWindow{0, 0.9, 1.0}};
+  fc.control.router_faults = {RouterFaultWindow{1, 0.4, 0.7}};
+  fc.retry.max_retries = 12;
+  const FleetReport breaker = FleetSimulator(fc).run(uniform_trace(150, 100.0));
+  EXPECT_GT(breaker.circuit_opens, 0);
+  EXPECT_EQ(breaker.passes, 266);
+  // A partitioned golden row, which gives each step end a pass of its own.
+  EXPECT_EQ(partition_autoscaled_hb30().passes, 660);
+}
+
 }  // namespace
 }  // namespace mib::fleet
