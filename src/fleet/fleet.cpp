@@ -168,12 +168,15 @@ struct Pending {
 /// One FleetSimulator::run: the fleet's state, the event calendar, the
 /// waiting queues and the per-replica timers (step ends, heartbeats,
 /// breaker deadlines) that decide when the next pass happens, and one
-/// handler per subsystem. Within a pass the handlers of the calendar's
-/// kinds and of the timers run in EventKind order, and the waiting queues
-/// are served between step ends and hedge triggers; the timed handlers
-/// visit only the targets that are due. An independent run steps its
-/// replicas on their own between passes (step_window); any other run makes
-/// a pass at every step end.
+/// handler per subsystem. Each replica's fault state and brownout x
+/// warm-up scale are held in `alive` and `scale`: a pass applies its due
+/// fault and scale edges once, before any handler runs, and everything
+/// else reads the arrays, as it reads the current cut from `active_part`.
+/// Within a pass the handlers of the calendar's kinds and of the timers
+/// run in EventKind order, and the waiting queues are served between step
+/// ends and hedge triggers; the timed handlers visit only the targets that
+/// are due. An independent run steps its replicas on their own between
+/// passes (step_window); any other run makes a pass at every step end.
 class FleetRun {
   using K = EventKind;
 
@@ -218,6 +221,9 @@ class FleetRun {
       reps.emplace_back(cost_, &book, sim_.kv_token_capacity(), cfg_.replica);
       active[i] = i < cfg_.n_replicas;
       rep.replicas[i].replica = i;
+      // The first heartbeat of a replica browned out at t = 0 is stretched
+      // (resume, below); the first pass reprices it.
+      scale.push_back(compose(degr.at(i, 0.0), warm.at(i, 0.0)));
     }
     if (cfg_.autoscaler.enabled && cfg_.autoscaler.topology_aware &&
         cfg_.topology.enabled()) {
@@ -281,8 +287,6 @@ class FleetRun {
       MIB_ENSURE(!filled_.empty() || next_waiting() > now,
                  "fleet livelock: the pass at t=" << now << " left work due");
       settle_heals();
-      MIB_ENSURE(steps_begun <= max_steps,
-                 "fleet exceeded its step bound (livelock?)");
       first_pass = false;
     }
     finish();
@@ -322,7 +326,7 @@ class FleetRun {
 
   void resume(int i) {
     monitor.resume(i, now);
-    next_hb[i] = now + hb_period(i, now);
+    next_hb[i] = now + hb_period(i);
     arm_breaker(i);
   }
 
@@ -340,7 +344,7 @@ class FleetRun {
     // batch while the KV copies out behind it.
     Replica& r = reps[i];
     if (!active[i] || (in_maint[i] && !overlap_drain[i]) ||
-        !faults.up(i, now) || r.mid_step()) {
+        !alive[i] || r.mid_step()) {
       return;
     }
     for (auto& s : r.drop_expired(now)) {
@@ -352,7 +356,8 @@ class FleetRun {
     }
     if (r.has_work()) {
       r.begin_step(now);
-      ++steps_begun;
+      MIB_ENSURE(++steps_begun <= max_steps,
+                 "fleet exceeded its step bound (livelock?)");
     }
   }
 
@@ -373,8 +378,6 @@ class FleetRun {
         last = std::max(last, now);
         end_step(i);
         kick(i);
-        MIB_ENSURE(steps_begun <= max_steps,
-                   "fleet exceeded its step bound (livelock?)");
       }
     }
     // The time of the last pass the per-pass loop would have made.
@@ -435,18 +438,18 @@ class FleetRun {
                                     heartbeats_.time, breakers_.time});
     MIB_ENSURE(std::isfinite(t_next), "fleet event loop stalled");
     MIB_ENSURE(t_next >= now - 1e-12, "fleet simulation time went backwards");
-    prev_pass = now;
+    const double last_pass = now;
     now = std::max(now, t_next);
     // Charge the elapsed slice to the view-disagreement clock while any
     // two routers held different breaker snapshots.
-    plane.accumulate_disagreement(prev_pass, now);
+    plane.accumulate_disagreement(last_pass, now);
 
     for (K k : filled_) due(k).clear();
     filled_.clear();
     cal.pop_due(now, [this](const Event& e) { mark_due(e.kind, e.target); });
     for (int i = 0; first_pass && i < pool; ++i) {
-      // Before the first pass every replica is up, in service and at full
-      // speed; the first pass diffs each one against that.
+      // Before the first pass every replica is up, in service and priced at
+      // full speed; the first pass diffs each one against that.
       for (K k : {K::kScaleEdge, K::kMaintenanceEdge, K::kFaultEdge}) {
         mark_due(k, i);
       }
@@ -462,13 +465,28 @@ class FleetRun {
       filled_.push_back(s->kind);
       due(s->kind).swap(s->replicas);
     }
+    // Apply the due schedule edges once, before any handler reads the
+    // state they set. A fault edge stays due only where it flips the
+    // replica's state; a scale edge reprices its replica.
+    auto& flips = due(K::kFaultEdge);
+    flips.erase(std::remove_if(flips.begin(), flips.end(),
+                               [this](int i) {
+                                 const bool up = faults.up(i, now);
+                                 if (up == alive[i]) return true;
+                                 alive[i] = up;
+                                 return false;
+                               }),
+                flips.end());
+    for (int i : due(K::kScaleEdge)) {
+      scale[i] = compose(degr.at(i, now), warm.at(i, now));
+      reps[i].set_cost_model(degraded_costs_.at(scale[i]));
+    }
   }
 
   // --- 3. the pass: each handler runs when its kind or its waiting queue's
   // head is due, in handler order ---
   void full_pass() {
     if (is_due(K::kHeartbeat)) on_heartbeats();
-    if (is_due(K::kScaleEdge)) on_scale_edges();
     if (is_due(K::kMaintenanceEdge)) on_maintenance_edges();
     if (is_due(K::kFaultEdge)) on_fault_edges();
     if (is_due(K::kBreaker)) on_breakers();
@@ -498,19 +516,12 @@ class FleetRun {
       // the minority->majority direction open still delivers them — the
       // gray failure where the node looks healthy while its replies are
       // lost.
-      if (active[i] && !in_maint[i] && faults.up(i, now) &&
+      if (active[i] && !in_maint[i] && alive[i] &&
           plane.heartbeat_crosses(i, now)) {
         monitor.on_heartbeat(i, now);
         arm_breaker(i);
       }
-      next_hb[i] = now + hb_period(i, now);
-    }
-  }
-
-  // --- 3b. degradation / warm-up edges: reprice replicas ---
-  void on_scale_edges() {
-    for (int i : due(K::kScaleEdge)) {
-      reps[i].set_cost_model(degraded_costs_.at(scale_at(i, now)));
+      next_hb[i] = now + hb_period(i);
     }
   }
 
@@ -584,15 +595,11 @@ class FleetRun {
     }
   }
 
-  // --- 3d. fault edges ---
+  // --- 3d. fault edges that flipped `alive` (advance_clock) ---
   void on_fault_edges() {
     for (int i : due(K::kFaultEdge)) {
-      // Every edge is a pass, so the state at the previous pass is the
-      // state just before this one.
-      const bool was_up = first_pass || faults.up(i, prev_pass);
-      const bool up_now = faults.up(i, now);
       kick_.push_back(i);
-      if (was_up && !up_now && active[i]) {
+      if (!alive[i] && active[i]) {
         if (oracle) {
           // Legacy: the front-end knows instantly, work retries at once.
           release_failed(i);
@@ -609,7 +616,7 @@ class FleetRun {
           }
         }
       }
-      if (!was_up && up_now && !oracle) {
+      if (alive[i] && !oracle) {
         // Restart observed: stale connections error out, anything still
         // addressed to the old process retries now even if the breaker
         // never opened (a blip shorter than detection).
@@ -622,12 +629,11 @@ class FleetRun {
   // --- 3e. failure detection: breaker deadlines due now ---
   void on_breakers() {
     for (int i : due(K::kBreaker)) {
-      const bool up = faults.up(i, now);
-      const bool opened = monitor.advance(i, now, up);
+      const bool opened = monitor.advance(i, now, alive[i]);
       arm_breaker(i);
       if (!opened) continue;
       ++rep.circuit_opens;
-      if (up) {
+      if (alive[i]) {
         // Slow, not dead: stop routing to it, let its work finish.
         ++rep.false_circuit_opens;
       } else {
@@ -650,7 +656,8 @@ class FleetRun {
 
   // --- 3e''. partition edges: heal the split brain ---
   // Every cut and heal edge after t = 0 is a kPlaneEdge entry, so the cut
-  // can change only on a pass where one is due.
+  // can change only on a pass where one is due. The handlers after this
+  // one read the current cut from active_part.
   void on_partition_edge() {
     const PartitionWindow* cur = plane.partition_at(now);
     if (cur == active_part) return;
@@ -880,9 +887,7 @@ class FleetRun {
       int rtr = plane.survivor(now);
       // Hedges are optional insurance: during a partition they are issued
       // against the healthy (majority) side only.
-      if (plane.partition_at(now) != nullptr) {
-        rtr = plane.majority_survivor(now);
-      }
+      if (active_part != nullptr) rtr = plane.majority_survivor(now);
       if (rtr < 0) continue;  // whole front end dark: no hedge
       auto up = routable_for(rtr);
       // Never double up on a replica already holding a copy.
@@ -899,7 +904,7 @@ class FleetRun {
         ++rep.stale_dispatches;
         // The hedge copy died on the wire against a dead node; the
         // original carries the request alone.
-        if (!faults.up(idx, now)) continue;
+        if (!alive[idx]) continue;
       }
       ledger.spawn(id, Spawn::kHedge);
       copy.via_router = rtr;
@@ -927,7 +932,7 @@ class FleetRun {
         dispatch(blank[id]);
         continue;
       }
-      if (plane.partition_at(now) == nullptr) continue;  // healed in time
+      if (active_part == nullptr) continue;  // healed in time
       // A copy whose replies cannot cross back to the side that dispatched
       // it is invisible to the client even after its first token. The
       // retry is real client traffic, but the majority only admits it if
@@ -978,7 +983,7 @@ class FleetRun {
 
   // --- 3k. autoscaler tick ---
   void on_autoscaler() {
-    if (plane.partition_at(now) != nullptr) {
+    if (active_part != nullptr) {
       const int d_major = tick_side(0);
       const int d_minor = tick_side(1);
       if (d_major != d_minor) ++rep.autoscaler_conflicts;
@@ -1017,9 +1022,7 @@ class FleetRun {
       int pick = -1;
       int best = pool + 1;
       for (int i = 0; i < pool; ++i) {
-        if (!on_side(i) || active[i] || in_maint[i] || !faults.up(i, now)) {
-          continue;
-        }
+        if (!on_side(i) || active[i] || in_maint[i] || !alive[i]) continue;
         int in_group = 0;
         for (int j = 0; !spread_group[i].empty() && j < pool; ++j) {
           if (active[j] && spread_group[j] == spread_group[i]) {
@@ -1068,21 +1071,16 @@ class FleetRun {
 
   // --- helpers shared by the handlers ---
 
-  /// Effective scale right now: scheduled brownout x post-recovery warm-up.
-  PerfScale scale_at(int i, double t) const {
-    return compose(degr.at(i, t), warm.at(i, t));
-  }
-
-  double hb_period(int i, double t) const {
+  double hb_period(int i) const {
     // A degraded replica services its control plane late in proportion to
     // its worst-hit resource.
-    return cfg_.health.heartbeat_interval_s / scale_at(i, t).worst();
+    return cfg_.health.heartbeat_interval_s / scale[i].worst();
   }
 
   // The front end's ground-truth knowledge of a replica: the breaker state
-  // when detection is on, the fault schedule itself in legacy oracle mode.
+  // when detection is on, the held fault state in legacy oracle mode.
   bool live_routable(int i) const {
-    return oracle ? faults.up(i, now) : monitor.routable(i);
+    return oracle ? alive[i] : monitor.routable(i);
   }
 
   // What router `rtr` believes is routable: its (possibly stale) breaker
@@ -1175,7 +1173,7 @@ class FleetRun {
       MIB_ENSURE(plane.stale_views() || plane.frozen_view(rtr, now),
                  "dispatch to a replica with an open circuit");
       ++rep.stale_dispatches;
-      if (!faults.up(idx, now)) {
+      if (!alive[idx]) {
         // Connection refused by a dead node: the client times out after
         // the usual detection lag, then re-enters at its home router
         // (whose view has had time to catch up).
@@ -1202,7 +1200,7 @@ class FleetRun {
       // The duplicate is the client's majority-side retry: while the
       // partition holds it re-enters at a majority router, never back at
       // its cut-off home.
-      if (plane.partition_at(now) != nullptr) {
+      if (active_part != nullptr) {
         const int rtr = plane.majority_survivor(now);
         if (rtr >= 0) {
           dispatch_via(rtr, std::move(seq));
@@ -1426,6 +1424,12 @@ class FleetRun {
   engine::PriceBook book;
   std::vector<Replica> reps;
   std::vector<bool> active = flags(), in_maint = flags();
+  /// Whether each replica is outside its fault windows, and its brownout x
+  /// warm-up scale, as of the last applied edge (advance_clock). Before the
+  /// first pass every replica is up; the first pass marks every replica's
+  /// edges due and diffs it against that.
+  std::vector<bool> alive = std::vector<bool>(pool, true);
+  std::vector<PerfScale> scale;
   const FaultSchedule faults{sim_.expanded_faults()};
   const FaultSchedule maint{cfg_.maintenance};
   const DegradationSchedule degr{sim_.expanded_degradations()};
@@ -1496,7 +1500,6 @@ class FleetRun {
 
   std::size_t next_arrival = 0;
   double now = 0.0;
-  double prev_pass = 0.0;  ///< time of the previous pass
   bool first_pass = true;
   double next_tick = cfg_.autoscaler.interval_s;  ///< when enabled
   long long max_steps = 0;

@@ -20,6 +20,11 @@
 // next heartbeat and its breaker deadline, which a heartbeat pushes back
 // and a suspension disarms in place. One scan of the pool per pass reads
 // the earliest of each. Everything but the step ends is a fleet event.
+// Each replica's fault state and brownout x warm-up scale are held state
+// too: a pass applies its due fault and scale edges once, before any
+// handler runs (a scale edge reprices the replica, and a fault edge stays
+// due only if it flips the replica), and the handlers read the held
+// state, as they read the current partition cut.
 // Within a pass the handlers run in EventKind order up to step ends, then
 // the waiting queues are served (handoffs, migrations, arrivals, retries,
 // fail-overs), then hedges, client patience and the autoscaler; a handler

@@ -15,6 +15,7 @@
 #include "fleet/fleet.h"
 #include "hw/cluster.h"
 #include "models/zoo.h"
+#include "report_digest.h"
 #include "workload/arrivals.h"
 
 namespace mib::fleet {
@@ -287,6 +288,47 @@ TEST(Health, OracleModeReportsNoCircuitActivity) {
   EXPECT_EQ(r.circuit_opens, 0);
   EXPECT_EQ(r.detection_lag_s.count(), 0u);
   EXPECT_TRUE(r.circuit_events.empty());
+}
+
+// A brownout stretches the heartbeat emitted at its own first instant,
+// whether that instant is t = 0 or a heartbeat tied with the edge.
+TEST(Health, BrownoutStretchesTheHeartbeatAtItsFirstInstant) {
+  const PerfScale tenth_bw{1.0, 0.1, 1.0};
+  const auto trace = uniform_trace(48, 60.0, 256, 64, 7);
+  auto browned_from = [&](double start) {
+    auto cfg = base_cfg(2);
+    cfg.degradations.push_back(DegradationWindow{1, start, 5.0, tenth_bw});
+    return FleetSimulator(cfg).run(trace);
+  };
+  const HealthConfig hc;
+
+  // (a) From t = 0: the first heartbeat is already due a tenth as often,
+  // so replica 1's silence since t = 0 opens its breaker before any
+  // heartbeat is delivered.
+  {
+    const auto r = browned_from(0.0);
+    const auto open = std::find_if(
+        r.circuit_events.begin(), r.circuit_events.end(),
+        [](const CircuitEvent& e) {
+          return e.replica == 1 && e.to == CircuitState::kOpen;
+        });
+    ASSERT_NE(open, r.circuit_events.end());
+    EXPECT_EQ(open->t_s,
+              hc.phi_threshold * 2.302585092994046 * hc.heartbeat_interval_s);
+    EXPECT_TRUE(open->replica_was_up);
+  }
+
+  // (b) From the 20th heartbeat's instant, summed the way the loop sums
+  // it: the heartbeat due there is stretched, exactly as it is by an edge
+  // one ulp earlier.
+  {
+    double t = 0.0;
+    for (int k = 0; k < 20; ++k) t = t + hc.heartbeat_interval_s;
+    const auto tied = browned_from(t);
+    const auto before = browned_from(std::nextafter(t, 0.0));
+    EXPECT_EQ(digest(tied), digest(before));
+    EXPECT_GE(tied.false_circuit_opens, 1);
+  }
 }
 
 // --- hedged requests ---
