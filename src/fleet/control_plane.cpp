@@ -97,7 +97,7 @@ void PartitionConfig::validate(int routers) const {
 
 ControlPlane::ControlPlane(const ControlPlaneConfig& cfg, RoutePolicy policy,
                            std::uint64_t seed, int pool)
-    : cfg_(cfg), schedule_(cfg.router_faults) {
+    : cfg_(cfg) {
   cfg_.validate();
   routers_.reserve(static_cast<std::size_t>(cfg_.routers));
   for (int r = 0; r < cfg_.routers; ++r) {
@@ -123,8 +123,8 @@ ControlPlane::ControlPlane(const ControlPlaneConfig& cfg, RoutePolicy policy,
     next_sync_[static_cast<std::size_t>(r)] =
         cfg_.view_sync_interval_s * (r + 1) / cfg_.routers;
   }
-  // Expand flapping windows into their cut episodes so partition_at and
-  // the transition queries see every flap edge as a plain window edge.
+  // Expand flapping windows into their cut episodes so advance() and
+  // edges() see every flap edge as a plain window edge.
   for (const auto& w : cfg_.partition.windows) {
     if (w.flap_period_s <= 0.0 || w.flap_duty >= 1.0) {
       expanded_.push_back(w);
@@ -139,31 +139,56 @@ ControlPlane::ControlPlane(const ControlPlaneConfig& cfg, RoutePolicy policy,
       expanded_.push_back(std::move(episode));
     }
   }
+  up_.assign(static_cast<std::size_t>(cfg_.routers), 1);
+  advance(0.0);
 }
 
-int ControlPlane::survivor(double t) const {
+const PartitionWindow* ControlPlane::advance(double t) {
+  const PartitionWindow* before = cut();
+  cut_ = -1;
+  for (std::size_t k = 0; k < expanded_.size() && cut_ < 0; ++k) {
+    if (t >= expanded_[k].start_s && t < expanded_[k].end_s) {
+      cut_ = static_cast<int>(k);
+    }
+  }
+  fenced_ = cut_ >= 0 && t >= fence_time(*cut());
   for (int r = 0; r < cfg_.routers; ++r) {
-    if (schedule_.up(r, t) && !router_fenced(r, t)) return r;
+    up_[static_cast<std::size_t>(r)] =
+        window_at(cfg_.router_faults, r, t) == nullptr;
+  }
+  return before;
+}
+
+std::vector<double> ControlPlane::edges() const {
+  std::vector<double> edges;
+  for (const auto& edge : window_edges(cfg_.router_faults)) {
+    edges.push_back(edge.first);
+  }
+  for (const auto& w : expanded_) {
+    edges.push_back(w.start_s);
+    edges.push_back(w.end_s);
+    // The fence edge is an interior event (kFenceAfterGrace): the loop
+    // must wake exactly when the minority's lease expires.
+    const double fence = fence_time(w);
+    if (fence > w.start_s && fence < w.end_s) edges.push_back(fence);
+  }
+  std::sort(edges.begin(), edges.end());
+  return edges;
+}
+
+int ControlPlane::survivor() const {
+  for (int r = 0; r < cfg_.routers; ++r) {
+    if (router_up(r) && !router_fenced(r)) return r;
   }
   return -1;
 }
 
-const PartitionWindow* ControlPlane::partition_at(double t) const {
-  if (!partition_enabled()) return nullptr;
-  for (const auto& w : expanded_) {
-    if (t >= w.start_s && t < w.end_s) return &w;
-  }
-  return nullptr;
+bool ControlPlane::router_minority(int r) const {
+  return cut() != nullptr && contains(cut()->minority_routers, r);
 }
 
-bool ControlPlane::router_minority(int r, double t) const {
-  const PartitionWindow* w = partition_at(t);
-  return w != nullptr && contains(w->minority_routers, r);
-}
-
-bool ControlPlane::replica_minority(int i, double t) const {
-  const PartitionWindow* w = partition_at(t);
-  return w != nullptr && contains(w->minority_replicas, i);
+bool ControlPlane::replica_minority(int i) const {
+  return cut() != nullptr && contains(cut()->minority_replicas, i);
 }
 
 bool ControlPlane::passes(const PartitionWindow& cut, bool from_minority,
@@ -172,33 +197,27 @@ bool ControlPlane::passes(const PartitionWindow& cut, bool from_minority,
   return from_minority ? cut.open_to_majority : cut.open_to_minority;
 }
 
-bool ControlPlane::reachable(int router, int replica, double t) const {
-  const PartitionWindow* w = partition_at(t);
-  return w == nullptr || passes(*w, contains(w->minority_routers, router),
-                                contains(w->minority_replicas, replica));
+bool ControlPlane::reachable(int router, int replica) const {
+  return cut() == nullptr ||
+         passes(*cut(), router_minority(router), replica_minority(replica));
 }
 
-bool ControlPlane::reply_reachable(int replica, int router, double t) const {
-  const PartitionWindow* w = partition_at(t);
-  return w == nullptr || (!w->open_to_minority && !w->open_to_majority) ||
-         passes(*w, contains(w->minority_replicas, replica),
-                contains(w->minority_routers, router));
+bool ControlPlane::reply_reachable(int replica, int router) const {
+  return cut() == nullptr ||
+         (!cut()->open_to_minority && !cut()->open_to_majority) ||
+         passes(*cut(), replica_minority(replica), router_minority(router));
 }
 
-bool ControlPlane::cancel_reachable(int replica, double t) const {
-  const PartitionWindow* w = partition_at(t);
-  return w == nullptr ||
-         passes(*w, false, contains(w->minority_replicas, replica));
+bool ControlPlane::cancel_reachable(int replica) const {
+  return cut() == nullptr || passes(*cut(), false, replica_minority(replica));
 }
 
-bool ControlPlane::heartbeat_crosses(int replica, double t) const {
-  const PartitionWindow* w = partition_at(t);
-  return w == nullptr ||
-         passes(*w, contains(w->minority_replicas, replica), false);
+bool ControlPlane::heartbeat_crosses(int replica) const {
+  return cut() == nullptr || passes(*cut(), replica_minority(replica), false);
 }
 
-bool ControlPlane::drain_reachable(int replica, double t) const {
-  return !cfg_.partition.sever_drain_fabric || heartbeat_crosses(replica, t);
+bool ControlPlane::drain_reachable(int replica) const {
+  return !cfg_.partition.sever_drain_fabric || heartbeat_crosses(replica);
 }
 
 double ControlPlane::fence_time(const PartitionWindow& w) const {
@@ -219,39 +238,18 @@ double ControlPlane::fence_time(const PartitionWindow& w) const {
   return w.start_s + grace;
 }
 
-bool ControlPlane::router_fenced(int r, double t) const {
-  const PartitionWindow* w = partition_at(t);
-  if (w == nullptr || !contains(w->minority_routers, r)) return false;
-  return t >= fence_time(*w);
-}
-
-int ControlPlane::majority_survivor(double t) const {
+int ControlPlane::majority_survivor() const {
   for (int r = 0; r < cfg_.routers; ++r) {
-    if (schedule_.up(r, t) && !router_minority(r, t)) return r;
+    if (router_up(r) && !router_minority(r)) return r;
   }
   return -1;
-}
-
-std::vector<double> ControlPlane::partition_edges() const {
-  std::vector<double> edges;
-  if (!partition_enabled()) return edges;
-  for (const auto& w : expanded_) {
-    edges.push_back(w.start_s);
-    edges.push_back(w.end_s);
-    // The fence edge is an interior event (kFenceAfterGrace): the loop
-    // must wake exactly when the minority's lease expires.
-    const double fence = fence_time(w);
-    if (fence > w.start_s && fence < w.end_s) edges.push_back(fence);
-  }
-  std::sort(edges.begin(), edges.end());
-  return edges;
 }
 
 void ControlPlane::sync(double now, const std::function<bool(int)>& live_ok,
                         const std::function<void(int, double)>& rearmed) {
   for (int r = 0; r < cfg_.routers; ++r) {
     const auto u = static_cast<std::size_t>(r);
-    if (frozen_view(r, now)) continue;  // cut off from the sync channel
+    if (router_minority(r)) continue;  // cut off from the sync channel
     if (stale_views()) {
       if (next_sync_[u] > now) continue;
       while (next_sync_[u] <= now) next_sync_[u] += cfg_.view_sync_interval_s;
@@ -266,9 +264,9 @@ void ControlPlane::sync(double now, const std::function<bool(int)>& live_ok,
 void ControlPlane::accumulate_disagreement(double from, double to) {
   if (to <= from) return;
   // Views can differ under staggered syncs, or against a minority view
-  // frozen by an active partition (event slices never straddle a
-  // partition edge, so the side assignment at `from` covers the slice).
-  if (!stale_views() && partition_at(from) == nullptr) return;
+  // frozen by the held cut (event slices never straddle a plane edge, so
+  // the cut held through the slice covers it).
+  if (!stale_views() && cut() == nullptr) return;
   for (std::size_t r = 1; r < views_.size(); ++r) {
     if (views_[r] != views_[0]) {
       disagreement_s_ += to - from;

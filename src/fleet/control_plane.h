@@ -72,8 +72,13 @@
 //    max_client_retries), reusing the splitmix hash scheme of the
 //    server-side RetryPolicy.
 //
-// Outside a cut every query answers "no cut": all traffic passes, no
-// router is minority or fenced, and survivor() equals majority_survivor().
+// The plane's state changes only at its own edges (edges()): a router
+// fault edge, or a cut, heal or interior quorum-fence edge. advance(t)
+// sets the held state at t (the active cut episode, whether its minority
+// has fenced, each router's fault state) and every query reads it; none
+// takes a time. Outside a cut every query answers "no cut": all traffic
+// passes, no router is minority or fenced, and survivor() equals
+// majority_survivor().
 #pragma once
 
 #include <cstdint>
@@ -213,72 +218,76 @@ struct ControlPlaneConfig {
 };
 
 /// The replicated front end: per-router routing state, breaker-view
-/// snapshots, and the router fault schedule. Owned by one fleet run.
+/// snapshots, and the plane's held state (current cut, fence, router
+/// faults). Owned by one fleet run.
 class ControlPlane {
  public:
+  /// Starts at advance(0.0).
   ControlPlane(const ControlPlaneConfig& cfg, RoutePolicy policy,
                std::uint64_t seed, int pool);
 
   const ControlPlaneConfig& config() const { return cfg_; }
   int routers() const { return cfg_.routers; }
 
+  /// Set the held state to the plane at t: the active cut episode, whether
+  /// its minority has fenced, and each router's fault state. Works the
+  /// state out from the config alone, so t may come in any order. Returns
+  /// the cut held before the call.
+  const PartitionWindow* advance(double t);
+  /// Every router fault edge and every cut, heal and interior quorum-fence
+  /// edge, ascending. Flap expansion makes every episode edge an edge here.
+  std::vector<double> edges() const;
+
   /// The home router a request is pinned to.
   int assigned_router(int request_id) const {
     return request_id % cfg_.routers;
   }
-  bool router_up(int router, double t) const {
-    return schedule_.up(router, t);
-  }
-  /// Lowest-index live router at t that has not fenced itself, or -1 when
-  /// the whole plane is dark (or every live router is fenced). Outside a
-  /// cut no router is fenced, so this is the lowest live router.
-  int survivor(double t) const;
+  bool router_up(int r) const { return up_[static_cast<std::size_t>(r)] != 0; }
+  /// Lowest-index live router that has not fenced itself, or -1 when the
+  /// whole plane is dark (or every live router is fenced). Outside a cut
+  /// no router is fenced, so this is the lowest live router.
+  int survivor() const;
 
   /// Whether partitions are configured at all (windows may still be
   /// outside [0, makespan]). False keeps every partition path cold.
   bool partition_enabled() const {
     return cfg_.partition.enabled && !cfg_.partition.windows.empty();
   }
-  /// The partition cut active at t, or nullptr. Flapping windows are
-  /// pre-expanded into their cut episodes; the pointer identifies one
-  /// episode and stays stable for the plane's lifetime.
-  const PartitionWindow* partition_at(double t) const;
+  /// The active cut episode, or nullptr. Flapping windows are pre-expanded
+  /// into their cut episodes; the pointer identifies one episode and stays
+  /// stable for the plane's lifetime.
+  const PartitionWindow* cut() const {
+    return cut_ < 0 ? nullptr : &expanded_[static_cast<std::size_t>(cut_)];
+  }
   /// Number of cut episodes after flap expansion.
   int partition_cuts() const { return static_cast<int>(expanded_.size()); }
-  /// Whether router r sits on the minority side of an active partition.
-  bool router_minority(int r, double t) const;
-  /// Whether replica i is cut off with the minority side at t.
-  bool replica_minority(int i, double t) const;
+  /// Whether router r sits on the minority side of the cut. A minority
+  /// router's view is frozen for the cut: it receives no syncs and routes
+  /// on the snapshot it held when the cut began.
+  bool router_minority(int r) const;
+  /// Whether replica i is cut off with the minority side.
+  bool replica_minority(int i) const;
   // The five crossing queries below apply the one direction rule (see the
   // gray-failure paragraph above) to one kind of traffic each.
 
-  /// Whether router r can dispatch onto replica i at t.
-  bool reachable(int router, int replica, double t) const;
+  /// Whether router r can dispatch onto replica i.
+  bool reachable(int router, int replica) const;
   /// Whether a completion from replica i can reach the router that
   /// dispatched it (always, under a clean cut).
-  bool reply_reachable(int replica, int router, double t) const;
-  /// Whether a majority-initiated cancel reaches replica i at t.
-  bool cancel_reachable(int replica, double t) const;
+  bool reply_reachable(int replica, int router) const;
+  /// Whether a majority-initiated cancel reaches replica i.
+  bool cancel_reachable(int replica) const;
   /// Whether replica i's heartbeat reaches the majority-side monitor.
-  bool heartbeat_crosses(int replica, double t) const;
+  bool heartbeat_crosses(int replica) const;
   /// Whether replica i can ship KV toward the majority-side drain target
   /// (always true unless the partition severs the drain fabric).
-  bool drain_reachable(int replica, double t) const;
-  /// Whether router r has fenced itself at t: it sits on a minority side
-  /// with no strict router majority, the quorum policy fences, and the
-  /// grace (if any) has expired for the current cut episode.
-  bool router_fenced(int r, double t) const;
-  /// A minority router's view is frozen for the partition's duration: it
-  /// receives no syncs and routes on the snapshot it held at the cut.
-  bool frozen_view(int router, double t) const {
-    return router_minority(router, t);
-  }
-  /// Lowest-index live majority-side router at t, or -1.
-  int majority_survivor(double t) const;
-  /// Every partition cut, heal and interior quorum-fence edge, ascending
-  /// (empty with partitions off). Flap expansion makes every episode edge
-  /// an edge here.
-  std::vector<double> partition_edges() const;
+  bool drain_reachable(int replica) const;
+  /// Whether router r has fenced itself: it sits on a minority side with
+  /// no strict router majority, the quorum policy fences, and the grace
+  /// (if any) has expired for the current cut episode.
+  bool router_fenced(int r) const { return fenced_ && router_minority(r); }
+  /// Lowest-index live majority-side router, or -1.
+  int majority_survivor() const;
 
   /// Whether routers hold independently aging views (vs one live view).
   bool stale_views() const {
@@ -286,8 +295,8 @@ class ControlPlane {
   }
   /// Refresh every view whose sync deadline has passed (all views, when
   /// the sync interval is 0). `live_ok(i)` is the ground-truth breaker /
-  /// oracle routability of replica i at `now`. Minority routers of an
-  /// active partition are skipped — their views stay frozen at the cut.
+  /// oracle routability of replica i at `now`. Minority routers of the
+  /// held cut are skipped — their views stay frozen at the cut.
   /// `rearmed(r, t)`, when given, hears each router's new sync deadline.
   void sync(double now, const std::function<bool(int)>& live_ok,
             const std::function<void(int, double)>& rearmed = nullptr);
@@ -302,7 +311,8 @@ class ControlPlane {
                  [static_cast<std::size_t>(replica)] != 0;
   }
   /// Charge (from, to] to the disagreement clock if any two routers'
-  /// current views differ.
+  /// current views differ. The slice must lie within the held cut (or
+  /// the held absence of one).
   void accumulate_disagreement(double from, double to);
   double disagreement_s() const { return disagreement_s_; }
 
@@ -318,13 +328,16 @@ class ControlPlane {
                      bool to_minority);
 
   ControlPlaneConfig cfg_;
-  FaultSchedule schedule_;
   std::vector<Router> routers_;
   std::vector<std::vector<char>> views_;  ///< router -> replica routable
   std::vector<double> next_sync_;
   /// Flap-expanded cut episodes; identical to cfg_.partition.windows when
-  /// nothing flaps. partition_at() and the transition queries walk these.
+  /// nothing flaps. advance() and edges() walk these.
   std::vector<PartitionWindow> expanded_;
+  // The held state, set by advance().
+  int cut_ = -1;          ///< index into expanded_, -1 outside a cut
+  bool fenced_ = false;   ///< whether the cut's minority has fenced
+  std::vector<char> up_;  ///< router -> no fault window covers it
   double disagreement_s_ = 0.0;
 };
 

@@ -37,8 +37,9 @@ struct FaultWindow {
 // `replica`, `start_s` and `end_s`, disjoint per replica. The three
 // templates below are the one implementation of its validation, its
 // point query and its edges, which the fleet loop's event calendar is
-// compiled from. The loop holds each replica's state between edges and
-// makes the point query only where it applies a due edge.
+// compiled from. The loop holds each replica's state between edges, and
+// the control plane each router's, and each makes the point query only
+// where it applies a due edge.
 
 /// Throws when two windows for the same replica overlap or duplicate each
 /// other (such schedules double-count transitions and make the evacuation

@@ -169,9 +169,10 @@ struct Pending {
 /// waiting queues and the per-replica timers (step ends, heartbeats,
 /// breaker deadlines) that decide when the next pass happens, and one
 /// handler per subsystem. Each replica's fault state and brownout x
-/// warm-up scale are held in `alive` and `scale`: a pass applies its due
-/// fault and scale edges once, before any handler runs, and everything
-/// else reads the arrays, as it reads the current cut from `active_part`.
+/// warm-up scale are held in `alive` and `scale`, and the control plane
+/// holds its cut, fence and router states: a pass applies its due fault,
+/// scale and plane edges once, before any handler runs, and everything
+/// else reads the held state.
 /// Within a pass the handlers of the calendar's kinds and of the timers
 /// run in EventKind order, and the waiting queues are served between step
 /// ends and hedge triggers; the timed handlers visit only the targets that
@@ -260,8 +261,7 @@ class FleetRun {
     compile(maint.windows(), K::kMaintenanceEdge);
     compile(degr.windows(), K::kScaleEdge);
     compile(warm.windows(), K::kScaleEdge);
-    compile(cfg_.control.router_faults, K::kPlaneEdge);
-    for (double t : plane.partition_edges()) {
+    for (double t : plane.edges()) {
       if (t > 0.0) cal.push(t, K::kPlaneEdge);
     }
     for (int r = 0; r < plane.routers(); ++r) {
@@ -440,9 +440,6 @@ class FleetRun {
     MIB_ENSURE(t_next >= now - 1e-12, "fleet simulation time went backwards");
     const double last_pass = now;
     now = std::max(now, t_next);
-    // Charge the elapsed slice to the view-disagreement clock while any
-    // two routers held different breaker snapshots.
-    plane.accumulate_disagreement(last_pass, now);
 
     for (K k : filled_) due(k).clear();
     filled_.clear();
@@ -465,9 +462,15 @@ class FleetRun {
       filled_.push_back(s->kind);
       due(s->kind).swap(s->replicas);
     }
-    // Apply the due schedule edges once, before any handler reads the
-    // state they set. A fault edge stays due only where it flips the
-    // replica's state; a scale edge reprices its replica.
+    // Charge the slice since the last pass to the view-disagreement clock
+    // while any two routers held different breaker snapshots; the slice
+    // still reads the cut held through it. Then apply the due schedule
+    // edges once, before any handler reads the state they set. A plane
+    // edge moves the cut, the fence and the router states; a fault edge
+    // stays due only where it flips the replica's state; a scale edge
+    // reprices its replica.
+    plane.accumulate_disagreement(last_pass, now);
+    if (is_due(K::kPlaneEdge)) cut_before = plane.advance(now);
     auto& flips = due(K::kFaultEdge);
     flips.erase(std::remove_if(flips.begin(), flips.end(),
                                [this](int i) {
@@ -517,7 +520,7 @@ class FleetRun {
       // gray failure where the node looks healthy while its replies are
       // lost.
       if (active[i] && !in_maint[i] && alive[i] &&
-          plane.heartbeat_crosses(i, now)) {
+          plane.heartbeat_crosses(i)) {
         monitor.on_heartbeat(i, now);
         arm_breaker(i);
       }
@@ -535,7 +538,7 @@ class FleetRun {
       // A severed drain fabric (the source behind a cut with
       // sever_drain_fabric set) cannot ship KV at all: every drain on
       // this replica falls back to evacuate-and-recompute.
-      const bool severed = !plane.drain_reachable(i, now);
+      const bool severed = !plane.drain_reachable(i);
       double cursor = now;  // transfers serialize on the striped fabric
       // Ship one frozen sequence's KV to a peer, or recompute it: nothing
       // resident to move (still queued), recompute mode, or a severed
@@ -655,13 +658,13 @@ class FleetRun {
   }
 
   // --- 3e''. partition edges: heal the split brain ---
-  // Every cut and heal edge after t = 0 is a kPlaneEdge entry, so the cut
-  // can change only on a pass where one is due. The handlers after this
-  // one read the current cut from active_part.
+  // Every plane edge after t = 0 is a kPlaneEdge entry, so the cut can
+  // change only on a pass where one is due; advance_clock moved the plane
+  // to it and kept the cut it left in cut_before.
   void on_partition_edge() {
-    const PartitionWindow* cur = plane.partition_at(now);
-    if (cur == active_part) return;
-    if (active_part != nullptr) {
+    const PartitionWindow* cur = plane.cut();
+    if (cur == cut_before) return;
+    if (cut_before != nullptr) {
       // The partition healed: resolve the divergence. Stray copies of
       // already-committed requests are cancelled under either policy
       // (their KV freed); still-racing duplicates are fenced off the
@@ -669,7 +672,7 @@ class FleetRun {
       // kFirstCommitWins.
       const bool fence =
           cfg_.control.partition.heal == HealPolicy::kFenceMinority;
-      for (int i : active_part->minority_replicas) {
+      for (int i : cut_before->minority_replicas) {
         for (int id : reps[i].resident_ids()) {
           if (!ledger.resolved(id) && !(fence && ledger.copies(id) > 1)) {
             continue;
@@ -683,7 +686,6 @@ class FleetRun {
       pending_heals.push_back(now);
       ++rep.partition_flaps;
     }
-    active_part = cur;
     if (cur == nullptr || !cfg_.control.partition.sever_drain_fabric) return;
     // The new cut severs the drain fabric: KV transfers out of a
     // now-isolated source abort mid-stripe and fall back to
@@ -693,7 +695,7 @@ class FleetRun {
     // if it has not left there meanwhile.
     auto abort_severed = [&](WaitQueue<Pending>& queue, bool on_source) {
       queue.erase_if([&](Pending& p) {
-        if (p.src < 0 || plane.drain_reachable(p.src, now)) return false;
+        if (p.src < 0 || plane.drain_reachable(p.src)) return false;
         Sequence s = std::move(p.seq);
         if (on_source) kick_.push_back(p.src);
         if (!on_source || reps[p.src].take(s.request_id, &s)) {
@@ -728,7 +730,7 @@ class FleetRun {
         ledger.retire(s, Retire::kCancelled);
         continue;
       }
-      if (s.via_router >= 0 && !plane.reply_reachable(i, s.via_router, now)) {
+      if (s.via_router >= 0 && !plane.reply_reachable(i, s.via_router)) {
         // Orphaned decode: the copy finished behind an asymmetric cut
         // and its completion cannot reach the side that dispatched it.
         // The replica's work is gone; the client is still waiting.
@@ -830,7 +832,7 @@ class FleetRun {
   void on_router_failovers() {
     for (auto& p : router_pending.take_due(now)) {
       // The lowest live router that is still admitting (not fenced).
-      const int rtr = plane.survivor(now);
+      const int rtr = plane.survivor();
       if (rtr < 0) {
         // The whole front end is dark (or fenced): wait for a router to
         // return or a partition edge to lift the fence.
@@ -884,10 +886,10 @@ class FleetRun {
         ++rep.hedges_shed;
         continue;
       }
-      int rtr = plane.survivor(now);
+      int rtr = plane.survivor();
       // Hedges are optional insurance: during a partition they are issued
       // against the healthy (majority) side only.
-      if (active_part != nullptr) rtr = plane.majority_survivor(now);
+      if (plane.cut() != nullptr) rtr = plane.majority_survivor();
       if (rtr < 0) continue;  // whole front end dark: no hedge
       auto up = routable_for(rtr);
       // Never double up on a replica already holding a copy.
@@ -932,7 +934,7 @@ class FleetRun {
         dispatch(blank[id]);
         continue;
       }
-      if (active_part == nullptr) continue;  // healed in time
+      if (plane.cut() == nullptr) continue;  // healed in time
       // A copy whose replies cannot cross back to the side that dispatched
       // it is invisible to the client even after its first token. The
       // retry is real client traffic, but the majority only admits it if
@@ -944,25 +946,25 @@ class FleetRun {
       bool dup_live = false;
       long long maj_queued = 0;
       for (int r = 0; r < pool; ++r) {
-        if (!plane.replica_minority(r, now)) {
+        if (!plane.replica_minority(r)) {
           maj_queued += reps[r].queue_depth();
         }
         const Sequence* c = reps[r].find(id);
         if (c == nullptr) continue;
         dup_live = dup_live || c->is_partition_dup;
         if (c->via_router >= 0 &&
-            !plane.reply_reachable(r, c->via_router, now)) {
+            !plane.reply_reachable(r, c->via_router)) {
           any_unreachable = true;
         } else if (c->first_token_s >= 0.0) {
           visible_start = true;
         }
       }
-      if (!plane.router_minority(plane.assigned_router(id), now) &&
+      if (!plane.router_minority(plane.assigned_router(id)) &&
           !any_unreachable) {
         continue;  // majority-homed and every copy can answer: no retry
       }
       if (visible_start) continue;  // tokens are flowing to the client
-      const int rtr = plane.majority_survivor(now);
+      const int rtr = plane.majority_survivor();
       dup_live = dup_live || retries.any([id](const Pending& p) {
                    return p.seq.request_id == id && p.seq.is_partition_dup;
                  });
@@ -983,7 +985,7 @@ class FleetRun {
 
   // --- 3k. autoscaler tick ---
   void on_autoscaler() {
-    if (active_part != nullptr) {
+    if (plane.cut() != nullptr) {
       const int d_major = tick_side(0);
       const int d_minor = tick_side(1);
       if (d_major != d_minor) ++rep.autoscaler_conflicts;
@@ -1000,7 +1002,7 @@ class FleetRun {
   int tick_side(int side) {
     auto on_side = [&](int i) {
       return side < 0 ||
-             (plane.replica_minority(i, now) ? side == 1 : side == 0);
+             (plane.replica_minority(i) ? side == 1 : side == 0);
     };
     long long queued = 0;
     int n_active = 0;
@@ -1090,10 +1092,10 @@ class FleetRun {
   // gates are front-end-initiated state every router knows instantly.
   std::vector<int> routable_for(int rtr) const {
     std::vector<int> up;
-    const bool frozen = plane.frozen_view(rtr, now);
+    const bool frozen = plane.router_minority(rtr);
     for (int i = 0; i < pool; ++i) {
       if (!active[i] || in_maint[i]) continue;
-      if (!plane.reachable(rtr, i, now)) continue;
+      if (!plane.reachable(rtr, i)) continue;
       const bool ok = (plane.stale_views() || frozen) ? plane.view_ok(rtr, i)
                                                       : live_routable(i);
       if (ok) up.push_back(i);
@@ -1170,7 +1172,7 @@ class FleetRun {
       // Only a stale breaker view — aged out under staggered syncs or
       // frozen on the minority side of a partition — can pick a replica
       // the live state has already fenced off.
-      MIB_ENSURE(plane.stale_views() || plane.frozen_view(rtr, now),
+      MIB_ENSURE(plane.stale_views() || plane.router_minority(rtr),
                  "dispatch to a replica with an open circuit");
       ++rep.stale_dispatches;
       if (!alive[idx]) {
@@ -1183,7 +1185,7 @@ class FleetRun {
       // Breaker open but the node is alive (a false-positive open): the
       // stale dispatch lands and is simply served.
     }
-    if (!plane.reply_reachable(idx, rtr, now)) {
+    if (!plane.reply_reachable(idx, rtr)) {
       // Cross-cut dispatch over an asymmetric link: the copy can decode to
       // completion without the dispatching side ever hearing back.
       // Patience must be ticking or the request would leak with its
@@ -1200,8 +1202,8 @@ class FleetRun {
       // The duplicate is the client's majority-side retry: while the
       // partition holds it re-enters at a majority router, never back at
       // its cut-off home.
-      if (active_part != nullptr) {
-        const int rtr = plane.majority_survivor(now);
+      if (plane.cut() != nullptr) {
+        const int rtr = plane.majority_survivor();
         if (rtr >= 0) {
           dispatch_via(rtr, std::move(seq));
           return;
@@ -1209,14 +1211,14 @@ class FleetRun {
         // No live majority router: fall through to the home-router
         // stranding machinery below.
       }
-    } else if (plane.router_fenced(home, now)) {
+    } else if (plane.router_fenced(home)) {
       // Quorum self-fencing: the minority home router knows it lost the
       // router majority and refuses the dispatch outright, so the client
       // re-homes to the majority survivor instead of burning patience
       // against a side that will not answer.
       ++rep.quorum_fenced;
       rep.requests[seq.request_id].quorum_rehomed = true;
-      const int rtr = plane.majority_survivor(now);
+      const int rtr = plane.majority_survivor();
       if (rtr >= 0) {
         dispatch_via(rtr, std::move(seq));
         return;
@@ -1225,12 +1227,12 @@ class FleetRun {
       // fail-over lag passes (3i' re-checks fencing on re-entry).
       park(router_pending, now + cfg_.control.failover_detection_s, seq);
       return;
-    } else if (plane.router_minority(home, now)) {
+    } else if (plane.router_minority(home)) {
       // Minority-homed dispatch during a partition: the client's retry
       // patience starts ticking toward a majority-side double dispatch.
       arm_client_timer(seq.request_id);
     }
-    if (!plane.router_up(home, now)) {
+    if (!plane.router_up(home)) {
       // Home router dead: the request strands client-side until the
       // fail-over timeout fires, then re-enters at a survivor.
       ++rep.router_stranded;
@@ -1253,7 +1255,7 @@ class FleetRun {
       // the majority->minority direction open: a stray copy behind a full
       // cut keeps burning until the heal fences it (or until it completes
       // as a photo-finish loser).
-      if (!plane.cancel_reachable(r, now)) continue;
+      if (!plane.cancel_reachable(r)) continue;
       Sequence s;
       while (ledger.copies(id) > 0 && reps[r].take(id, &s)) {
         kick_.push_back(r);
@@ -1496,7 +1498,8 @@ class FleetRun {
   std::vector<int> client_attempts = std::vector<int>(n, 0);
   /// Heal edges whose duplicates have not all resolved yet.
   std::vector<double> pending_heals;
-  const PartitionWindow* active_part = plane.partition_at(0.0);
+  /// The cut the plane held before the pass's plane edge (advance_clock).
+  const PartitionWindow* cut_before = nullptr;
 
   std::size_t next_arrival = 0;
   double now = 0.0;

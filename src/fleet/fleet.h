@@ -24,19 +24,22 @@
 // too: a pass applies its due fault and scale edges once, before any
 // handler runs (a scale edge reprices the replica, and a fault edge stays
 // due only if it flips the replica), and the handlers read the held
-// state, as they read the current partition cut.
+// state. The control plane's cut, fence and router states are held the
+// same way: a pass with a plane edge due advances the plane to it, after
+// charging the view-disagreement slice that ends there, which still reads
+// the cut held through it.
 // Within a pass the handlers run in EventKind order up to step ends, then
 // the waiting queues are served (handoffs, migrations, arrivals, retries,
 // fail-overs), then hedges, client patience and the autoscaler; a handler
 // runs only when its kind or its queue's head is due. The timed handlers
 // visit only the targets their due entries name, in target order: client
 // patience that expires for several requests at one instant is served by
-// request id. Partition cut and heal edges are entries too, so the heal
-// handler runs only on a pass where one is due. Nothing the loop waits on
-// goes stale, so every pass has something due: a pass that finds only
-// parked work or an arrival due and leaves some of it untaken would
-// repeat forever, and fails the run as a livelock. FleetReport::passes
-// counts the passes.
+// request id. Router fault, partition cut, heal and quorum-fence edges are
+// entries too, so the heal handler runs only on a pass where one is due.
+// Nothing the loop waits on goes stale, so every pass has something due:
+// a pass that finds only parked work or an arrival due and leaves some of
+// it untaken would repeat forever, and fails the run as a livelock.
+// FleetReport::passes counts the passes.
 //
 // A step end reaches past its own replica in three ways only: it cancels
 // another copy (hedging or partitions), it orphans a reply or arms client

@@ -109,42 +109,46 @@ TEST(GrayFailure, AsymmetricReachabilityIsPerDirection) {
   PartitionWindow w = window(1.0, 2.0, {1}, {2});
   w.open_to_minority = true;  // majority -> minority stays open
   cc.partition.windows = {w};
-  const ControlPlane plane(cc, RoutePolicy::kLeastOutstanding, 7, 3);
+  ControlPlane plane(cc, RoutePolicy::kLeastOutstanding, 7, 3);
 
   // Dispatch direction: the majority router can reach the minority
   // replica (the open direction) but the minority router still cannot
   // reach majority replicas.
-  EXPECT_TRUE(plane.reachable(0, 2, 1.5));
-  EXPECT_FALSE(plane.reachable(1, 0, 1.5));
+  plane.advance(1.5);
+  EXPECT_TRUE(plane.reachable(0, 2));
+  EXPECT_FALSE(plane.reachable(1, 0));
   // Reply direction: a majority-dispatched copy on the minority replica
   // cannot answer (minority -> majority is cut)...
-  EXPECT_FALSE(plane.reply_reachable(2, 0, 1.5));
+  EXPECT_FALSE(plane.reply_reachable(2, 0));
   // ...while same-side streams and the clean-cut fallback always survive.
-  EXPECT_TRUE(plane.reply_reachable(2, 1, 1.5));
-  EXPECT_TRUE(plane.reply_reachable(0, 0, 1.5));
-  EXPECT_TRUE(plane.reply_reachable(2, 0, 0.5));  // no window
+  EXPECT_TRUE(plane.reply_reachable(2, 1));
+  EXPECT_TRUE(plane.reply_reachable(0, 0));
   // Cancels ride majority -> minority, heartbeats minority -> majority.
-  EXPECT_TRUE(plane.cancel_reachable(2, 1.5));
-  EXPECT_FALSE(plane.heartbeat_crosses(2, 1.5));
+  EXPECT_TRUE(plane.cancel_reachable(2));
+  EXPECT_FALSE(plane.heartbeat_crosses(2));
+  plane.advance(0.5);
+  EXPECT_TRUE(plane.reply_reachable(2, 0));  // no window
 
   // The mirrored asymmetry: only minority -> majority open.
   cc.partition.windows[0].open_to_minority = false;
   cc.partition.windows[0].open_to_majority = true;
-  const ControlPlane rev(cc, RoutePolicy::kLeastOutstanding, 7, 3);
-  EXPECT_FALSE(rev.reachable(0, 2, 1.5));
-  EXPECT_TRUE(rev.reachable(1, 0, 1.5));
-  EXPECT_TRUE(rev.reply_reachable(2, 0, 1.5));
-  EXPECT_FALSE(rev.reply_reachable(0, 1, 1.5));
-  EXPECT_FALSE(rev.cancel_reachable(2, 1.5));
-  EXPECT_TRUE(rev.heartbeat_crosses(2, 1.5));
+  ControlPlane rev(cc, RoutePolicy::kLeastOutstanding, 7, 3);
+  rev.advance(1.5);
+  EXPECT_FALSE(rev.reachable(0, 2));
+  EXPECT_TRUE(rev.reachable(1, 0));
+  EXPECT_TRUE(rev.reply_reachable(2, 0));
+  EXPECT_FALSE(rev.reply_reachable(0, 1));
+  EXPECT_FALSE(rev.cancel_reachable(2));
+  EXPECT_TRUE(rev.heartbeat_crosses(2));
 
   // A clean cut (both flags off) keeps PR 4 semantics everywhere: replies
   // survive, cancels and heartbeats stop at the cut.
   cc.partition.windows[0].open_to_majority = false;
-  const ControlPlane clean(cc, RoutePolicy::kLeastOutstanding, 7, 3);
-  EXPECT_TRUE(clean.reply_reachable(2, 0, 1.5));
-  EXPECT_FALSE(clean.cancel_reachable(2, 1.5));
-  EXPECT_FALSE(clean.heartbeat_crosses(2, 1.5));
+  ControlPlane clean(cc, RoutePolicy::kLeastOutstanding, 7, 3);
+  clean.advance(1.5);
+  EXPECT_TRUE(clean.reply_reachable(2, 0));
+  EXPECT_FALSE(clean.cancel_reachable(2));
+  EXPECT_FALSE(clean.heartbeat_crosses(2));
 }
 
 TEST(GrayFailure, DrainReachabilityNeedsTheSeverKnob) {
@@ -152,20 +156,24 @@ TEST(GrayFailure, DrainReachabilityNeedsTheSeverKnob) {
   cc.routers = 2;
   cc.partition.enabled = true;
   cc.partition.windows = {window(1.0, 2.0, {1}, {2})};
-  const ControlPlane off(cc, RoutePolicy::kLeastOutstanding, 7, 3);
+  ControlPlane off(cc, RoutePolicy::kLeastOutstanding, 7, 3);
   // Knob off: the drain fabric is assumed independent of the cut (PR 4).
-  EXPECT_TRUE(off.drain_reachable(2, 1.5));
+  off.advance(1.5);
+  EXPECT_TRUE(off.drain_reachable(2));
 
   cc.partition.sever_drain_fabric = true;
-  const ControlPlane on(cc, RoutePolicy::kLeastOutstanding, 7, 3);
-  EXPECT_FALSE(on.drain_reachable(2, 1.5));  // minority source, full cut
-  EXPECT_TRUE(on.drain_reachable(0, 1.5));   // majority source unaffected
-  EXPECT_TRUE(on.drain_reachable(2, 0.5));   // outside the window
+  ControlPlane on(cc, RoutePolicy::kLeastOutstanding, 7, 3);
+  on.advance(1.5);
+  EXPECT_FALSE(on.drain_reachable(2));  // minority source, full cut
+  EXPECT_TRUE(on.drain_reachable(0));   // majority source unaffected
+  on.advance(0.5);
+  EXPECT_TRUE(on.drain_reachable(2));   // outside the window
 
   // An open minority -> majority direction carries the KV out.
   cc.partition.windows[0].open_to_majority = true;
-  const ControlPlane open(cc, RoutePolicy::kLeastOutstanding, 7, 3);
-  EXPECT_TRUE(open.drain_reachable(2, 1.5));
+  ControlPlane open(cc, RoutePolicy::kLeastOutstanding, 7, 3);
+  open.advance(1.5);
+  EXPECT_TRUE(open.drain_reachable(2));
 }
 
 // --- plane-side geometry: flapping ---
@@ -178,22 +186,29 @@ TEST(GrayFailure, FlappingExpandsIntoDutyCycleEpisodes) {
   w.flap_period_s = 0.4;
   w.flap_duty = 0.5;
   cc.partition.windows = {w};
-  const ControlPlane plane(cc, RoutePolicy::kLeastOutstanding, 7, 3);
+  ControlPlane plane(cc, RoutePolicy::kLeastOutstanding, 7, 3);
 
   // [1.0, 2.0) at period 0.4, duty 0.5: cut during [1.0,1.2), [1.4,1.6),
   // [1.8,2.0) — three episodes.
   EXPECT_EQ(plane.partition_cuts(), 3);
-  EXPECT_NE(plane.partition_at(1.1), nullptr);
-  EXPECT_EQ(plane.partition_at(1.3), nullptr);  // healed half of period 1
-  EXPECT_NE(plane.partition_at(1.5), nullptr);
-  EXPECT_EQ(plane.partition_at(1.7), nullptr);
-  EXPECT_NE(plane.partition_at(1.9), nullptr);
-  EXPECT_EQ(plane.partition_at(2.1), nullptr);
+  plane.advance(1.1);
+  const PartitionWindow* first = plane.cut();
+  EXPECT_NE(first, nullptr);
+  plane.advance(1.3);
+  EXPECT_EQ(plane.cut(), nullptr);  // healed half of period 1
+  plane.advance(1.5);
+  EXPECT_NE(plane.cut(), nullptr);
   // Distinct episodes are distinct windows (the heal-edge detector keys
   // on pointer identity).
-  EXPECT_NE(plane.partition_at(1.1), plane.partition_at(1.5));
+  EXPECT_NE(plane.cut(), first);
+  plane.advance(1.7);
+  EXPECT_EQ(plane.cut(), nullptr);
+  plane.advance(1.9);
+  EXPECT_NE(plane.cut(), nullptr);
+  plane.advance(2.1);
+  EXPECT_EQ(plane.cut(), nullptr);
   // Every cut and heal edge drives the event loop.
-  const std::vector<double> edges = plane.partition_edges();
+  const std::vector<double> edges = plane.edges();
   const std::vector<double> expected = {1.0, 1.2, 1.4, 1.6, 1.8, 2.0};
   ASSERT_EQ(edges.size(), expected.size());
   for (std::size_t k = 0; k < edges.size(); ++k) {
@@ -202,9 +217,10 @@ TEST(GrayFailure, FlappingExpandsIntoDutyCycleEpisodes) {
 
   // duty == 1 or period == 0 degenerates to the single solid window.
   cc.partition.windows[0].flap_duty = 1.0;
-  const ControlPlane solid(cc, RoutePolicy::kLeastOutstanding, 7, 3);
+  ControlPlane solid(cc, RoutePolicy::kLeastOutstanding, 7, 3);
   EXPECT_EQ(solid.partition_cuts(), 1);
-  EXPECT_NE(solid.partition_at(1.3), nullptr);
+  solid.advance(1.3);
+  EXPECT_NE(solid.cut(), nullptr);
 }
 
 // --- plane-side geometry: quorum fencing ---
@@ -217,51 +233,61 @@ TEST(GrayFailure, QuorumFencingFollowsRouterMajority) {
 
   // 1 of 3 routers cut off: it lost quorum and fences from the cut.
   cc.partition.windows = {window(1.0, 2.0, {2}, {})};
-  const ControlPlane one(cc, RoutePolicy::kLeastOutstanding, 7, 2);
-  EXPECT_TRUE(one.router_fenced(2, 1.5));
-  EXPECT_FALSE(one.router_fenced(0, 1.5));  // the majority never fences
-  EXPECT_FALSE(one.router_fenced(2, 0.5));  // no cut, no fence
+  ControlPlane one(cc, RoutePolicy::kLeastOutstanding, 7, 2);
+  one.advance(1.5);
+  EXPECT_TRUE(one.router_fenced(2));
+  EXPECT_FALSE(one.router_fenced(0));  // the majority never fences
+  one.advance(0.5);
+  EXPECT_FALSE(one.router_fenced(2));  // no cut, no fence
 
   // Router 0 cut off: the survivor a stranded request fails over to is
   // the lowest live router still admitting, so it skips the fenced router
   // 0 inside the cut and is router 0 again outside it.
   cc.partition.windows = {window(1.0, 2.0, {0}, {})};
-  const ControlPlane low(cc, RoutePolicy::kLeastOutstanding, 7, 2);
-  EXPECT_TRUE(low.router_fenced(0, 1.5));
-  EXPECT_EQ(low.survivor(1.5), 1);
-  EXPECT_EQ(low.survivor(1.5), low.majority_survivor(1.5));
-  EXPECT_EQ(low.survivor(0.5), 0);
-  EXPECT_EQ(low.survivor(2.0), 0);
+  ControlPlane low(cc, RoutePolicy::kLeastOutstanding, 7, 2);
+  low.advance(1.5);
+  EXPECT_TRUE(low.router_fenced(0));
+  EXPECT_EQ(low.survivor(), 1);
+  EXPECT_EQ(low.survivor(), low.majority_survivor());
+  low.advance(0.5);
+  EXPECT_EQ(low.survivor(), 0);
+  low.advance(2.0);
+  EXPECT_EQ(low.survivor(), 0);
 
   // 2 of 3 named minority: the named side holds the strict majority, so
   // neither side fences.
   cc.partition.windows = {window(1.0, 2.0, {1, 2}, {})};
-  const ControlPlane two(cc, RoutePolicy::kLeastOutstanding, 7, 2);
-  EXPECT_FALSE(two.router_fenced(1, 1.5));
-  EXPECT_FALSE(two.router_fenced(2, 1.5));
-  EXPECT_FALSE(two.router_fenced(0, 1.5));
+  ControlPlane two(cc, RoutePolicy::kLeastOutstanding, 7, 2);
+  two.advance(1.5);
+  EXPECT_FALSE(two.router_fenced(1));
+  EXPECT_FALSE(two.router_fenced(2));
+  EXPECT_FALSE(two.router_fenced(0));
 
   // 1 of 2: a tie. Neither side has a strict majority; the cut-off side
   // fences (it cannot prove it still has quorum).
   cc.routers = 2;
   cc.partition.windows = {window(1.0, 2.0, {1}, {})};
-  const ControlPlane tie(cc, RoutePolicy::kLeastOutstanding, 7, 2);
-  EXPECT_TRUE(tie.router_fenced(1, 1.5));
-  EXPECT_FALSE(tie.router_fenced(0, 1.5));
+  ControlPlane tie(cc, RoutePolicy::kLeastOutstanding, 7, 2);
+  tie.advance(1.5);
+  EXPECT_TRUE(tie.router_fenced(1));
+  EXPECT_FALSE(tie.router_fenced(0));
 
   // Grace defers the fence edge; serve-stale never fences.
   cc.partition.quorum = QuorumPolicy::kFenceAfterGrace;
   cc.partition.quorum_grace_s = 0.3;
-  const ControlPlane grace(cc, RoutePolicy::kLeastOutstanding, 7, 2);
-  EXPECT_FALSE(grace.router_fenced(1, 1.2));
-  EXPECT_TRUE(grace.router_fenced(1, 1.3));
+  ControlPlane grace(cc, RoutePolicy::kLeastOutstanding, 7, 2);
+  grace.advance(1.2);
+  EXPECT_FALSE(grace.router_fenced(1));
+  grace.advance(1.3);
+  EXPECT_TRUE(grace.router_fenced(1));
   // The lease expiry is an interior loop event.
-  const std::vector<double> edges = grace.partition_edges();
+  const std::vector<double> edges = grace.edges();
   ASSERT_EQ(edges.size(), 3u);
   EXPECT_DOUBLE_EQ(edges[1], 1.3);
   cc.partition.quorum = QuorumPolicy::kServeStale;
-  const ControlPlane stale(cc, RoutePolicy::kLeastOutstanding, 7, 2);
-  EXPECT_FALSE(stale.router_fenced(1, 1.5));
+  ControlPlane stale(cc, RoutePolicy::kLeastOutstanding, 7, 2);
+  stale.advance(1.5);
+  EXPECT_FALSE(stale.router_fenced(1));
 }
 
 // --- end to end: asymmetric cuts orphan completions ---

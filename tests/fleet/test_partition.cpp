@@ -112,33 +112,34 @@ TEST(Partition, SideAssignmentAndReachability) {
   cc.routers = 3;
   cc.partition.enabled = true;
   cc.partition.windows = {window(1.0, 2.0, {2}, {3})};
-  const ControlPlane plane(cc, RoutePolicy::kLeastOutstanding, 7, 4);
+  ControlPlane plane(cc, RoutePolicy::kLeastOutstanding, 7, 4);
 
   EXPECT_TRUE(plane.partition_enabled());
-  EXPECT_EQ(plane.partition_at(0.5), nullptr);
-  ASSERT_NE(plane.partition_at(1.5), nullptr);
-  EXPECT_EQ(plane.partition_at(2.0), nullptr);  // end is exclusive
+  plane.advance(2.0);
+  EXPECT_EQ(plane.cut(), nullptr);  // end is exclusive
 
-  // Outside the window everything reaches everything.
-  EXPECT_TRUE(plane.reachable(2, 3, 0.5));
-  EXPECT_FALSE(plane.router_minority(2, 0.5));
-  // Inside: same side only.
-  EXPECT_TRUE(plane.router_minority(2, 1.5));
-  EXPECT_TRUE(plane.replica_minority(3, 1.5));
-  EXPECT_TRUE(plane.reachable(2, 3, 1.5));    // minority <-> minority
-  EXPECT_TRUE(plane.reachable(0, 1, 1.5));    // majority <-> majority
-  EXPECT_FALSE(plane.reachable(0, 3, 1.5));   // across the cut
-  EXPECT_FALSE(plane.reachable(2, 0, 1.5));   // across the cut
-  // The minority's view freezes exactly for the window.
-  EXPECT_FALSE(plane.frozen_view(2, 0.5));
-  EXPECT_TRUE(plane.frozen_view(2, 1.5));
-  EXPECT_FALSE(plane.frozen_view(0, 1.5));
+  // Outside the window everything reaches everything, and the minority's
+  // view is not frozen.
+  plane.advance(0.5);
+  EXPECT_EQ(plane.cut(), nullptr);
+  EXPECT_TRUE(plane.reachable(2, 3));
+  EXPECT_FALSE(plane.router_minority(2));
+  // Inside: same side only; the minority's view freezes for the window.
+  plane.advance(1.5);
+  ASSERT_NE(plane.cut(), nullptr);
+  EXPECT_TRUE(plane.router_minority(2));
+  EXPECT_FALSE(plane.router_minority(0));
+  EXPECT_TRUE(plane.replica_minority(3));
+  EXPECT_TRUE(plane.reachable(2, 3));    // minority <-> minority
+  EXPECT_TRUE(plane.reachable(0, 1));    // majority <-> majority
+  EXPECT_FALSE(plane.reachable(0, 3));   // across the cut
+  EXPECT_FALSE(plane.reachable(2, 0));   // across the cut
 
   // Majority survivor skips the minority even though it is alive.
-  EXPECT_EQ(plane.survivor(1.5), 0);
-  EXPECT_EQ(plane.majority_survivor(1.5), 0);
+  EXPECT_EQ(plane.survivor(), 0);
+  EXPECT_EQ(plane.majority_survivor(), 0);
   // Transition edges drive the event loop.
-  EXPECT_EQ(plane.partition_edges(), (std::vector<double>{1.0, 2.0}));
+  EXPECT_EQ(plane.edges(), (std::vector<double>{1.0, 2.0}));
 }
 
 TEST(Partition, MajoritySurvivorRespectsRouterFaults) {
@@ -147,10 +148,12 @@ TEST(Partition, MajoritySurvivorRespectsRouterFaults) {
   cc.router_faults.push_back(RouterFaultWindow{0, 1.0, 2.0});
   cc.partition.enabled = true;
   cc.partition.windows = {window(0.5, 3.0, {1}, {})};
-  const ControlPlane plane(cc, RoutePolicy::kLeastOutstanding, 7, 2);
+  ControlPlane plane(cc, RoutePolicy::kLeastOutstanding, 7, 2);
   // Router 0 dead, router 1 partitioned away: router 2 is the majority.
-  EXPECT_EQ(plane.majority_survivor(1.5), 2);
-  EXPECT_EQ(plane.majority_survivor(2.5), 0);  // router 0 back
+  plane.advance(1.5);
+  EXPECT_EQ(plane.majority_survivor(), 2);
+  plane.advance(2.5);
+  EXPECT_EQ(plane.majority_survivor(), 0);  // router 0 back
 }
 
 // The fleet asks every partition query without first checking whether a
@@ -165,27 +168,27 @@ TEST(Partition, DisabledPlaneKeepsPathsCold) {
     SCOPED_TRACE(cc.partition.enabled ? "enabled, no windows" : "default");
     cc.partition.quorum = QuorumPolicy::kFenceAtCut;
     cc.partition.sever_drain_fabric = true;
-    const ControlPlane plane(cc, RoutePolicy::kLeastOutstanding, 7, 2);
+    ControlPlane plane(cc, RoutePolicy::kLeastOutstanding, 7, 2);
     EXPECT_FALSE(plane.partition_enabled());
-    EXPECT_TRUE(plane.partition_edges().empty());
+    EXPECT_TRUE(plane.edges().empty());
     for (double t : {0.0, 1.0}) {
-      EXPECT_EQ(plane.partition_at(t), nullptr);
-      EXPECT_EQ(plane.survivor(t), 0);
-      EXPECT_EQ(plane.survivor(t), plane.majority_survivor(t));
+      plane.advance(t);
+      EXPECT_EQ(plane.cut(), nullptr);
+      EXPECT_EQ(plane.survivor(), 0);
+      EXPECT_EQ(plane.survivor(), plane.majority_survivor());
       for (int r = 0; r < 2; ++r) {
-        EXPECT_FALSE(plane.frozen_view(r, t));
-        EXPECT_FALSE(plane.router_minority(r, t));
-        EXPECT_FALSE(plane.router_fenced(r, t));
+        EXPECT_FALSE(plane.router_minority(r));
+        EXPECT_FALSE(plane.router_fenced(r));
         for (int i = 0; i < 2; ++i) {
-          EXPECT_TRUE(plane.reachable(r, i, t));
-          EXPECT_TRUE(plane.reply_reachable(i, r, t));
+          EXPECT_TRUE(plane.reachable(r, i));
+          EXPECT_TRUE(plane.reply_reachable(i, r));
         }
       }
       for (int i = 0; i < 2; ++i) {
-        EXPECT_FALSE(plane.replica_minority(i, t));
-        EXPECT_TRUE(plane.cancel_reachable(i, t));
-        EXPECT_TRUE(plane.heartbeat_crosses(i, t));
-        EXPECT_TRUE(plane.drain_reachable(i, t));
+        EXPECT_FALSE(plane.replica_minority(i));
+        EXPECT_TRUE(plane.cancel_reachable(i));
+        EXPECT_TRUE(plane.heartbeat_crosses(i));
+        EXPECT_TRUE(plane.drain_reachable(i));
       }
     }
   }
